@@ -9,16 +9,17 @@ walking the users in any order, each newly counted packet of the running
 intersection must be served by a symbol no earlier user could share.
 
 This module evaluates the sum for a prescribed ordering (`eval_ordering`),
-maximizes it exactly by branch and bound (`theorem1_exact`) or greedily
-(`theorem1_greedy`), produces the prescribed orderings that are provably
-maximal for the partition and bipartite families, and minimizes S* over
-all admissible placements (`theorem3_search`) to get a placement-free
-bound on the rate at a given subpacketization.
+maximizes it exactly by a longest path over the distinct running
+intersections (`theorem1_exact`) or greedily (`theorem1_greedy`), produces
+the prescribed orderings that are provably maximal for the partition and
+bipartite families, and minimizes S* over all admissible placements
+(`theorem3_search`) to get a placement-free bound on the rate at a given
+subpacketization.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -28,16 +29,20 @@ from .core import StarPattern, canonical_pattern
 
 UserOrdering = Tuple[int, ...]
 
-DEFAULT_NODE_BUDGET = 100_000_000
+# Intersections the exact search may expand.  Each one stays in its memo
+# (about 120 bytes), so this also caps memory near 1.2 GB.
+DEFAULT_NODE_BUDGET = 10_000_000
 
 
 @dataclass(frozen=True)
 class BoundCertificate:
     """A witnessed lower bound: value = sum of nested-intersection sizes.
 
-    method is one of "exact" (proven maximum), "branch_bound" (search
-    truncated by budget), "greedy", or "prescribed" (caller-supplied
-    ordering).  Only "exact" certificates carry exact=True.
+    method is one of "exact" (proven maximum), "branch_bound" (the exact
+    search was truncated by its intersection budget; the value is the
+    better of the identity and greedy orderings), "greedy", or
+    "prescribed" (caller-supplied ordering).  Only "exact" certificates
+    carry exact=True.
     """
 
     value: int
@@ -173,102 +178,89 @@ def theorem1_greedy(pattern: StarPattern) -> BoundCertificate:
     )
 
 
+class _OutOfBudget(Exception):
+    pass
+
+
 def theorem1_exact(
     pattern: StarPattern, budget: int = DEFAULT_NODE_BUDGET
 ) -> BoundCertificate:
     """Exact maximum of the nested-intersection sum over all user orderings.
 
-    Depth-first branch and bound over prefixes:
+    A longest path over the distinct running intersections.  A user whose
+    uncached set contains the running intersection I leaves it unchanged
+    and adds |I|, so taking every such user at once is optimal; after that
+    the best future depends on I alone:
 
-    * children are the unused users in ascending id, deduplicated by the
-      intersection they produce (equal I & A_k means isomorphic subtrees,
-      and keeping the smallest id preserves the lex-least witness);
-    * a child is cut when current_sum + remaining * gain cannot beat the
-      incumbent -- later steps never exceed the current gain because the
-      intersection only shrinks;
-    * an empty intersection collapses the subtree: the rest of the ordering
-      contributes nothing, so the prefix is completed with the unused users
-      in ascending order.
+        f(I) = max over u with {} != I & A_u != I of
+               (N(I & A_u) - N(I)) * |I & A_u| + f(I & A_u),
 
-    Incumbents are replaced only on strict improvement, so the reported
-    witness is the lexicographically smallest optimal ordering.  If the
-    node budget runs out the best ordering found so far is returned with
-    method "branch_bound" and exact=False.
+    where N(J) counts the users with A_w containing J, and
+    S* = N(full) * F + f(full).  f is memoised per intersection and
+    `budget` caps the number of intersections expanded.
+
+    The witness is rebuilt from the memo: a prefix of p users with running
+    intersection I has exact future (N(I) - p) * |I| + f(I), so taking at
+    each step the smallest unused user whose step plus future still meets
+    the optimum gives the lexicographically smallest optimal ordering.  If
+    the budget runs out, the better of the identity ordering and the greedy
+    one is returned with method "branch_bound" and exact=False.
     """
     masks = pattern.masks
-    kk = pattern.k
-    # Seed with the identity ordering: it is the lex-least ordering, so if
-    # nothing beats it strictly it is also the lex-least optimal witness.
-    seed = eval_ordering(pattern, range(1, kk + 1))
-    best_value = seed.value
-    best_witness = seed.witness
-    best_steps = seed.step_sizes
-    nodes = 0
-    truncated = False
+    full = (1 << pattern.f) - 1
+    holders: Dict[int, int] = {}
+    memo: Dict[int, int] = {0: 0}
+    expanded = 0
 
-    prefix: List[int] = []
+    def n_of(j: int) -> int:
+        if j not in holders:
+            holders[j] = sum(1 for a in masks if a & j == j)
+        return holders[j]
+
+    def future(inter: int) -> int:
+        nonlocal expanded
+        if inter in memo:
+            return memo[inter]
+        expanded += 1
+        if expanded > budget:
+            raise _OutOfBudget
+        n = n_of(inter)
+        best = 0
+        for child in {inter & a for a in masks} - {inter, 0}:
+            best = max(best, (n_of(child) - n) * child.bit_count() + future(child))
+        memo[inter] = best
+        return best
+
+    try:
+        target = n_of(full) * full.bit_count() + future(full)
+    except _OutOfBudget:
+        identity = eval_ordering(pattern, range(1, pattern.k + 1))
+        greedy = theorem1_greedy(pattern)
+        best_cert = greedy if greedy.value > identity.value else identity
+        return replace(best_cert, method="branch_bound", exact=False)
+
+    inter = full
+    unused = list(range(1, pattern.k + 1))
+    witness: List[int] = []
     steps: List[int] = []
-    used = [False] * (kk + 1)
-
-    def complete(total: int) -> None:
-        nonlocal best_value, best_witness, best_steps
-        if total > best_value:
-            pad = tuple(u for u in range(1, kk + 1) if not used[u])
-            best_value = total
-            best_witness = tuple(prefix) + pad
-            best_steps = tuple(steps) + (0,) * len(pad)
-
-    def dfs(inter: int, total: int) -> None:
-        nonlocal nodes, truncated
-        if truncated:
-            return
-        nodes += 1
-        if nodes > budget:
-            truncated = True
-            return
-        if len(prefix) == kk:
-            complete(total)
-            return
-        children: List[Tuple[int, int, int]] = []
-        seen: Set[int] = set()
-        max_gain = 0
-        for u in range(1, kk + 1):
-            if used[u]:
-                continue
-            ni = inter & masks[u - 1]
-            if ni in seen:
-                continue
-            seen.add(ni)
-            gain = ni.bit_count()
-            children.append((u, ni, gain))
-            if gain > max_gain:
-                max_gain = gain
-        if max_gain == 0:
-            complete(total)
-            return
-        remaining = kk - len(prefix)
-        if total + remaining * max_gain <= best_value:
-            return
-        for u, ni, gain in children:
-            # A zero-gain pick is dominated by any positive sibling.
-            if gain == 0 or total + remaining * gain <= best_value:
-                continue
-            used[u] = True
-            prefix.append(u)
-            steps.append(gain)
-            dfs(ni, total + gain)
-            steps.pop()
-            prefix.pop()
-            used[u] = False
-
-    dfs((1 << pattern.f) - 1, 0)
+    while unused:
+        for u in unused:
+            child = inter & masks[u - 1]
+            size = child.bit_count()
+            if (n_of(child) - len(witness)) * size + memo[child] == target:
+                break
+        unused.remove(u)
+        witness.append(u)
+        steps.append(size)
+        target -= size
+        inter = child
     return BoundCertificate(
-        value=best_value,
+        value=sum(steps),
         f=pattern.f,
-        witness=best_witness,
-        step_sizes=best_steps,
-        method="branch_bound" if truncated else "exact",
-        exact=not truncated,
+        witness=tuple(witness),
+        step_sizes=tuple(steps),
+        method="exact",
+        exact=True,
     )
 
 
@@ -366,6 +358,8 @@ def theorem3_search(
         raise ValueError(f"need 0 <= z <= f, got z={z}, f={f}")
     if mode not in ("exhaustive", "canonical"):
         raise ValueError(f"unknown search mode {mode!r}")
+    if budget is not None and budget < 1:
+        raise ValueError(f"need a budget of at least one placement, got {budget}")
 
     omega = []
     for rows in combinations(range(1, f + 1), f - z):

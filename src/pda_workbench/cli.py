@@ -24,7 +24,6 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Optional, Sequence, Tuple
@@ -57,7 +56,7 @@ from .core import (
     to_star_pattern,
     verify_pda,
 )
-from .filler import fill_exact, fill_greedy
+from .filler import DEFAULT_COLOR_BUDGET, fill_exact, fill_greedy
 from .formulas import (
     binomial_identity_check,
     formula_ratio,
@@ -92,31 +91,12 @@ class _UsageError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything that may influence a command's output."""
-
-    seed: int = 0
-    node_budget: Optional[int] = None
-    output_format: str = "text"
-    thread_count: int = 1
-
-
 def _default_threads() -> int:
     raw = os.environ.get("PDA_WORKBENCH_THREADS", "")
     try:
         return max(1, int(raw))
     except ValueError:
         return 1
-
-
-def _config(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        seed=getattr(args, "seed", 0),
-        node_budget=getattr(args, "budget", None),
-        output_format=getattr(args, "format", "text"),
-        thread_count=getattr(args, "threads", None) or _default_threads(),
-    )
 
 
 def _read_input(path: str) -> str:
@@ -133,8 +113,11 @@ def _write_output(path: Optional[str], text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
         return
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise _UsageError(f"cannot write {path}: {e.strerror}") from None
 
 
 def _load_pattern(path: str) -> Tuple[StarPattern, Optional[PdaGrid]]:
@@ -271,9 +254,15 @@ def _ordered_certificate(
 
 def cmd_bound(args: argparse.Namespace) -> int:
     pattern, grid = _load_pattern(args.file)
-    cfg = _config(args)
+    grid_symbols: Optional[int] = None
+    if grid is not None:
+        try:
+            grid_symbols = pda_params(grid).s
+        except ValueError as e:
+            print(f"error: C1 fails: {e}", file=sys.stderr)
+            return EXIT_INVALID
     if args.method == "exact":
-        cert = theorem1_exact(pattern, budget=cfg.node_budget or DEFAULT_NODE_BUDGET)
+        cert = theorem1_exact(pattern, budget=args.budget)
     elif args.method == "greedy":
         cert = theorem1_greedy(pattern)
     elif args.method.startswith("ordered:"):
@@ -281,15 +270,12 @@ def cmd_bound(args: argparse.Namespace) -> int:
     else:
         raise _UsageError(f"unknown method {args.method!r}")
 
-    certified = False
-    if grid is not None:
-        s = pda_params(grid).s
-        certified = cert.value == s
+    certified = cert.value == grid_symbols
 
     if args.format == "json":
         payload = {"schema": SCHEMA, "command": "bound", **cert.as_dict()}
-        if grid is not None:
-            payload["grid_symbols"] = pda_params(grid).s
+        if grid_symbols is not None:
+            payload["grid_symbols"] = grid_symbols
             payload["certified"] = certified
         _print_json(payload)
     else:
@@ -299,7 +285,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
         print("witness: " + " ".join(str(u) for u in cert.witness))
         print("steps: " + " ".join(str(s) for s in cert.step_sizes))
         if certified:
-            print(f"optimality certified: bound meets S = {pda_params(grid).s}")
+            print(f"optimality certified: bound meets S = {grid_symbols}")
     if args.method == "exact" and not cert.exact:
         return EXIT_BUDGET
     return EXIT_OK
@@ -312,7 +298,10 @@ def cmd_bound(args: argparse.Namespace) -> int:
 def cmd_search(args: argparse.Namespace) -> int:
     if args.z > args.f:
         raise _UsageError(f"need Z <= F, got Z={args.z}, F={args.f}")
-    report = theorem3_search(args.k, args.f, args.z, mode=args.mode, budget=args.budget)
+    try:
+        report = theorem3_search(args.k, args.f, args.z, mode=args.mode, budget=args.budget)
+    except ValueError as e:
+        raise _UsageError(str(e)) from None
     if args.witness:
         _write_output(args.witness, format_placement(report.best_pattern))
     if args.format == "json":
@@ -352,10 +341,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         print(f"INVALID PDA: {len(result.violations)} violation(s)", file=sys.stderr)
         return EXIT_INVALID
     params = pda_params(grid)
-    cfg = _config(args)
-    lib = FileLibrary.generate(
-        n=args.files, f=grid.f, packet_len=args.packet_len, seed=cfg.seed
-    )
+    try:
+        lib = FileLibrary.generate(
+            n=args.files, f=grid.f, packet_len=args.packet_len, seed=args.seed
+        )
+    except ValueError as e:
+        raise _UsageError(str(e)) from None
 
     if args.demand is not None:
         d = _parse_demand(args.demand, grid.k, args.files)
@@ -395,10 +386,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.sweep:
         demands = all_demands(args.files, grid.k)
     elif args.sample is not None:
-        demands = sample_demands(args.files, grid.k, args.sample, seed=cfg.seed)
+        demands = sample_demands(args.files, grid.k, args.sample, seed=args.seed)
     else:
         raise _UsageError("need one of --demand, --sweep, --sample")
-    sweep = run_sweep(grid, lib, demands, threads=cfg.thread_count)
+    sweep = run_sweep(grid, lib, demands, threads=args.threads or _default_threads())
     if args.format == "json":
         _print_json(
             {
@@ -423,14 +414,21 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_fill(args: argparse.Namespace) -> int:
     pattern, _ = _load_pattern(args.file)
-    cfg = _config(args)
+    if pattern.uniform_z() is None:
+        sizes = sorted(set(pattern.sizes()))
+        print(
+            "error: users leave unequal numbers of rows uncached"
+            f" ({', '.join(map(str, sizes))}), so no fill satisfies C1",
+            file=sys.stderr,
+        )
+        return EXIT_INVALID
     if args.method == "greedy":
         grid = fill_greedy(pattern, vertex_order=args.order)
         s = grid.max_symbol()
         _write_output(args.output, format_pda(grid))
         print(f"greedy fill ({args.order}): S = {s}", file=sys.stderr)
         return EXIT_OK
-    result = fill_exact(pattern, budget=cfg.node_budget or 5_000_000)
+    result = fill_exact(pattern, budget=args.budget)
     _write_output(args.output, format_pda(result.grid))
     note = "optimality certified" if result.optimal else "NOT proven optimal (budget)"
     print(
@@ -609,7 +607,14 @@ def _build_parser() -> argparse.ArgumentParser:
         default="exact",
         help="exact | greedy | ordered:partition | ordered:bipartite",
     )
-    p.add_argument("--budget", type=int, default=None, help="node cap for exact search")
+    p.add_argument(
+        "--budget",
+        type=int,
+        default=DEFAULT_NODE_BUDGET,
+        help="cap on the intersections the exact search expands; past it the"
+        " better of the identity and greedy orderings is reported with method"
+        " branch_bound and exit code 3",
+    )
     p.add_argument("--q", type=int)
     p.add_argument("--m", type=int)
     p.add_argument("--a", type=int)
@@ -644,7 +649,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", nargs="?", default="-")
     p.add_argument("--method", choices=["exact", "greedy"], default="exact")
     p.add_argument("--order", choices=["row_major", "degree_desc"], default="row_major")
-    p.add_argument("--budget", type=int, default=None, help="node cap for the exact search")
+    p.add_argument(
+        "--budget", type=int, default=DEFAULT_COLOR_BUDGET, help="node cap for the exact search"
+    )
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(handler=cmd_fill)
 
@@ -652,7 +659,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=["partition"], default="partition")
     p.add_argument("--q-list", default="2,3,4,5")
     p.add_argument("--m-max", type=int, default=5)
-    p.add_argument("--exact-cap", type=int, default=12, help="run the exact engine up to this many users")
+    p.add_argument("--exact-cap", type=int, default=16, help="run the exact engine up to this many users")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(handler=cmd_table)
 

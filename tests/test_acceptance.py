@@ -202,7 +202,7 @@ def test_acceptance_8_property_suites():
         cases += 1
     assert cases >= 100
 
-    # (b) branch and bound equals brute force through K = 7
+    # (b) exact ordering bound equals brute force through K = 7
     cases = 0
     for _ in range(100):
         f = rng.randint(1, 7)

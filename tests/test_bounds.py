@@ -134,6 +134,45 @@ def test_budget_exhaustion_degrades_honestly():
     assert theorem1_exact(pat).value >= cert.value
 
 
+def test_budget_counts_distinct_intersections():
+    # The exact search expands each distinct nonempty intersection of a
+    # user subset once (the empty subset gives the full row set).
+    pat = pattern_of("GRID_K6_F4_Z1")
+    full = (1 << pat.f) - 1
+    lattice = {full}
+    for r in range(1, pat.k + 1):
+        for group in itertools.combinations(pat.masks, r):
+            inter = full
+            for mask in group:
+                inter &= mask
+            if inter:
+                lattice.add(inter)
+    assert theorem1_exact(pat, budget=len(lattice)).exact
+    assert not theorem1_exact(pat, budget=len(lattice) - 1).exact
+
+
+def test_truncated_search_reports_the_better_of_identity_and_greedy():
+    pat = to_star_pattern(partition_pda(4, 3))
+    cert = theorem1_exact(pat, budget=1_000)
+    assert not cert.exact and cert.method == "branch_bound"
+    fallbacks = [eval_ordering(pat, range(1, pat.k + 1)), theorem1_greedy(pat)]
+    best = max(c.value for c in fallbacks)
+    assert cert.value == best
+    assert (cert.witness, cert.step_sizes) in [
+        (c.witness, c.step_sizes) for c in fallbacks if c.value == best
+    ]
+
+
+@pytest.mark.parametrize("q,m,value", [(5, 2, 90), (4, 3, 180)])
+def test_exact_certifies_the_partition_frontier(q, m, value):
+    pat = to_star_pattern(partition_pda(q, m))
+    cert = theorem1_exact(pat, budget=300_000)
+    assert cert.exact and cert.method == "exact"
+    assert cert.value == value
+    replay = eval_ordering(pat, cert.witness)
+    assert (replay.value, replay.step_sizes) == (cert.value, cert.step_sizes)
+
+
 # ---------------------------------------------------------------------------
 # certificate plumbing
 # ---------------------------------------------------------------------------

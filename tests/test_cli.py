@@ -81,6 +81,14 @@ def test_construct_grouping_writes_to_a_file(run, tmp_path):
     assert "grouping(m=4, a=1, b=2, h=2)" in err
 
 
+def test_construct_into_a_missing_directory_is_a_usage_error(run, tmp_path):
+    target = tmp_path / "missing" / "x.pda"
+    code, out, err = run(["construct", "mn", "--k", "4", "--t", "2", "-o", str(target)])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}") and err.count("\n") == 1
+
+
 def test_construct_missing_flags_is_a_usage_error(run):
     code, _, err = run(["construct", "partition", "--q", "3"])
     assert code == EXIT_USAGE
@@ -244,6 +252,14 @@ def test_bound_unknown_method_is_usage(run):
     assert code == EXIT_USAGE
 
 
+def test_bound_on_a_grid_failing_c1_exits_one(run):
+    # column 1 has one star, column 2 none
+    code, out, err = run(["bound"], stdin="PDA 2 2\n* 1\n1 2\n")
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err.startswith("error: C1") and err.count("\n") == 1
+
+
 def test_bound_budget_truncation_exits_three(run):
     code, out, _ = run(
         ["bound", "--budget", "1"], stdin=grid_text("GRID_K6_F4_Z1")
@@ -301,6 +317,25 @@ def test_search_z_beyond_f_is_usage(run):
     code, _, err = run(["search", "--k", "2", "--f", "2", "--z", "3"])
     assert code == EXIT_USAGE
     assert "Z <= F" in err
+
+
+@pytest.mark.parametrize(
+    "argv,grid",
+    [
+        (["search", "--k", "4", "--f", "6", "--z", "3", "--budget", "0"], None),
+        (["search", "--k", "0", "--f", "6", "--z", "3"], None),
+        (["search", "--k", "2", "--f", "4", "--z", "-1"], None),
+        (["simulate", "--files", "0", "--sweep"], mn_pda(4, 2)),
+        (["simulate", "--files", "2", "--packet-len", "0", "--sweep"], mn_pda(4, 2)),
+    ],
+    ids=["search-budget-0", "search-k-0", "search-z-negative", "simulate-files-0",
+         "simulate-packet-len-0"],
+)
+def test_out_of_range_arguments_are_usage_errors(run, argv, grid):
+    code, out, err = run(argv, stdin=None if grid is None else format_pda(grid))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 # -------------------------------------------------------------- simulate
@@ -448,6 +483,16 @@ def test_fill_budget_truncation_exits_three(run, tmp_path):
     assert verify_pda(parse_pda(out)).valid
 
 
+@pytest.mark.parametrize("method", ["exact", "greedy"])
+def test_fill_rejects_a_placement_with_unequal_star_counts(run, method):
+    # user 1 leaves two rows uncached, user 2 three: no fill meets C1
+    pattern = StarPattern(4, (0b0011, 0b0111))
+    code, out, err = run(["fill", "--method", method], stdin=format_placement(pattern))
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err.startswith("error: users leave unequal numbers") and err.count("\n") == 1
+
+
 def test_fill_writes_the_array_to_a_file(run, tmp_path):
     target = tmp_path / "filled.pda"
     pattern = to_star_pattern(golden_grid("GRID_K6_F4_Z2"))
@@ -481,6 +526,16 @@ def test_table_blanks_the_exact_column_past_the_cap(run):
     lines = out.strip().splitlines()
     assert "3,2,18,15,17,1.133333,0.833333" in lines  # K = 9 still within cap
     assert "3,3,54,47,,,0.870370" in lines
+
+
+def test_table_default_cap_reaches_sixteen_users(run):
+    code, out, _ = run(["table", "--q-list", "3,4,5", "--m-max", "4"])
+    assert code == EXIT_OK
+    rows = {tuple(line.split(",")[:2]): line for line in out.strip().splitlines()[1:]}
+    assert rows[("3", "4")].startswith("3,4,162,147,154,1.047619,")  # K = 15
+    assert rows[("4", "3")].startswith("4,3,192,153,180,1.176471,")  # K = 16
+    assert rows[("5", "2")].startswith("5,2,100,70,90,1.285714,")  # K = 15
+    assert rows[("4", "4")].split(",")[4:6] == ["", ""]  # K = 20, past the cap
 
 
 def test_table_skips_shapes_it_cannot_evaluate(run):
