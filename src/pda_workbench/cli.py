@@ -11,9 +11,9 @@ Conventions shared by every subcommand:
   ("schema": "pda-workbench/1"); table emits CSV;
 * exit codes: 0 success, 1 the input failed a check (invalid array, decode
   mismatch), 2 usage error, 3 a search ran out of budget before proving
-  its answer;
-* PDA_WORKBENCH_THREADS sets the default worker count where sweeps can
-  fan out; --seed controls every pseudorandom payload.
+  its answer; main() is the one place that maps exceptions to these
+  codes, so no input ends in a traceback;
+* --seed controls every pseudorandom payload.
 """
 
 from __future__ import annotations
@@ -91,33 +91,19 @@ class _UsageError(Exception):
     pass
 
 
-def _default_threads() -> int:
-    raw = os.environ.get("PDA_WORKBENCH_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _read_input(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as e:
-        raise _UsageError(f"cannot read {path}: {e.strerror}") from None
+    with open(path, "r", encoding="utf-8") as fh:
+        return fh.read()
 
 
 def _write_output(path: Optional[str], text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
         return
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as e:
-        raise _UsageError(f"cannot write {path}: {e.strerror}") from None
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def _load_pattern(path: str) -> Tuple[StarPattern, Optional[PdaGrid]]:
@@ -152,25 +138,22 @@ def _require(args: argparse.Namespace, names: Sequence[str], family: str) -> Non
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
-    try:
-        if args.family == "partition":
-            _require(args, ["q", "m"], "partition")
-            grid = partition_pda(args.q, args.m)
-            label = f"partition(q={args.q}, m={args.m})"
-        elif args.family == "bipartite":
-            _require(args, ["m", "a", "b"], "bipartite")
-            grid = bipartite_pda(args.m, args.a, args.b)
-            label = f"bipartite(m={args.m}, a={args.a}, b={args.b})"
-        elif args.family == "mn":
-            _require(args, ["k", "t"], "mn")
-            grid = mn_pda(args.k, args.t)
-            label = f"mn(k={args.k}, t={args.t})"
-        else:
-            _require(args, ["m", "a", "b", "h"], "grouping")
-            grid = grouping_pda(args.m, args.a, args.b, args.h)
-            label = f"grouping(m={args.m}, a={args.a}, b={args.b}, h={args.h})"
-    except ValueError as e:
-        raise _UsageError(str(e)) from None
+    if args.family == "partition":
+        _require(args, ["q", "m"], "partition")
+        grid = partition_pda(args.q, args.m)
+        label = f"partition(q={args.q}, m={args.m})"
+    elif args.family == "bipartite":
+        _require(args, ["m", "a", "b"], "bipartite")
+        grid = bipartite_pda(args.m, args.a, args.b)
+        label = f"bipartite(m={args.m}, a={args.a}, b={args.b})"
+    elif args.family == "mn":
+        _require(args, ["k", "t"], "mn")
+        grid = mn_pda(args.k, args.t)
+        label = f"mn(k={args.k}, t={args.t})"
+    else:
+        _require(args, ["m", "a", "b", "h"], "grouping")
+        grid = grouping_pda(args.m, args.a, args.b, args.h)
+        label = f"grouping(m={args.m}, a={args.a}, b={args.b}, h={args.h})"
     params = pda_params(grid)
     _write_output(args.output, format_pda(grid))
     print(
@@ -298,10 +281,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
 def cmd_search(args: argparse.Namespace) -> int:
     if args.z > args.f:
         raise _UsageError(f"need Z <= F, got Z={args.z}, F={args.f}")
-    try:
-        report = theorem3_search(args.k, args.f, args.z, mode=args.mode, budget=args.budget)
-    except ValueError as e:
-        raise _UsageError(str(e)) from None
+    report = theorem3_search(args.k, args.f, args.z, mode=args.mode, budget=args.budget)
     if args.witness:
         _write_output(args.witness, format_placement(report.best_pattern))
     if args.format == "json":
@@ -341,12 +321,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         print(f"INVALID PDA: {len(result.violations)} violation(s)", file=sys.stderr)
         return EXIT_INVALID
     params = pda_params(grid)
-    try:
-        lib = FileLibrary.generate(
-            n=args.files, f=grid.f, packet_len=args.packet_len, seed=args.seed
-        )
-    except ValueError as e:
-        raise _UsageError(str(e)) from None
+    lib = FileLibrary.generate(
+        n=args.files, f=grid.f, packet_len=args.packet_len, seed=args.seed
+    )
 
     if args.demand is not None:
         d = _parse_demand(args.demand, grid.k, args.files)
@@ -389,7 +366,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         demands = sample_demands(args.files, grid.k, args.sample, seed=args.seed)
     else:
         raise _UsageError("need one of --demand, --sweep, --sample")
-    sweep = run_sweep(grid, lib, demands, threads=args.threads or _default_threads())
+    sweep = run_sweep(grid, lib, demands)
     if args.format == "json":
         _print_json(
             {
@@ -640,7 +617,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample", type=int, default=None, help="try this many random demands")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--packet-len", type=int, default=64)
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--transcript", default=None, help="dump signals as JSON here")
     _add_format(p)
     p.set_defaults(handler=cmd_simulate)
@@ -670,16 +646,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
-    except _UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # The reader has gone.  As the `signal` docs advise, point stdout at
+        # devnull so that the interpreter's last flush cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_USAGE
     except MalformedGridError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INVALID
+        message, code = str(e), EXIT_INVALID
+    except (_UsageError, ValueError) as e:
+        message, code = str(e), EXIT_USAGE
+    except OSError as e:
+        verb = "read" if e.filename == getattr(args, "file", "-") else "write"
+        message, code = f"cannot {verb} {e.filename or 'stdout'}: {e.strerror}", EXIT_USAGE
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

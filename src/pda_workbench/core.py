@@ -206,6 +206,11 @@ class VerifyResult:
         assert self.valid == (not self.violations)
 
 
+def _star_counts(grid: PdaGrid) -> List[int]:
+    """Stars per column, column 1 first."""
+    return [column.count(STAR) for column in zip(*grid.cells)]
+
+
 def verify_pda(grid: "PdaGrid | Sequence[Sequence[int]]") -> VerifyResult:
     """Check C1, C2 and C3 and report every violation found.
 
@@ -218,7 +223,7 @@ def verify_pda(grid: "PdaGrid | Sequence[Sequence[int]]") -> VerifyResult:
     violations: List[Violation] = []
 
     # C1: uniform star count, judged against column 1.
-    star_counts = [sum(1 for c in grid.column(k) if c == STAR) for k in range(1, grid.k + 1)]
+    star_counts = _star_counts(grid)
     z = star_counts[0]
     for k, count in enumerate(star_counts[1:], start=2):
         if count != z:
@@ -274,7 +279,7 @@ def verify_pda(grid: "PdaGrid | Sequence[Sequence[int]]") -> VerifyResult:
 
 def pda_params(grid: PdaGrid) -> PdaParams:
     """Read off (K, F, Z, S).  Requires uniform star counts (C1)."""
-    star_counts = [sum(1 for c in grid.column(k) if c == STAR) for k in range(1, grid.k + 1)]
+    star_counts = _star_counts(grid)
     z = star_counts[0]
     for k, count in enumerate(star_counts[1:], start=2):
         if count != z:
@@ -445,6 +450,10 @@ def parse_placement(text: str) -> StarPattern:
         f, k = int(header[1]), int(header[2])
     except ValueError:
         raise MalformedGridError(f"bad header {lines[0]!r}; want 'PLC F K'") from None
+    if f < 1 or k < 1:
+        raise MalformedGridError("placement must have at least one row and one column")
+    if f > MAX_ROWS:
+        raise MalformedGridError(f"F={f} exceeds the row cap {MAX_ROWS}")
     if len(lines) - 1 != f:
         raise MalformedGridError(f"header says F={f} but found {len(lines) - 1} rows")
     masks = [0] * k

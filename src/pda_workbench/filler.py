@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .bounds import theorem1_exact
-from .core import STAR, PdaGrid, StarPattern
+from .core import STAR, PdaGrid, StarPattern, _mask_to_rows
 
 DEFAULT_COLOR_BUDGET = 5_000_000
 
@@ -49,7 +49,7 @@ def build_conflict_graph(pattern: StarPattern) -> ConflictGraph:
     vertices = sorted(
         (j, k)
         for k in range(1, pattern.k + 1)
-        for j in _rows_of(pattern.masks[k - 1])
+        for j in _mask_to_rows(pattern.masks[k - 1])
     )
     adj: List[set] = [set() for _ in vertices]
     for a in range(len(vertices)):
@@ -67,17 +67,6 @@ def build_conflict_graph(pattern: StarPattern) -> ConflictGraph:
     return ConflictGraph(
         vertices=tuple(vertices), adj=tuple(frozenset(a) for a in adj)
     )
-
-
-def _rows_of(mask: int) -> List[int]:
-    rows = []
-    j = 1
-    while mask:
-        if mask & 1:
-            rows.append(j)
-        mask >>= 1
-        j += 1
-    return rows
 
 
 def _grid_from_coloring(

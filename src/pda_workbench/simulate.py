@@ -16,7 +16,6 @@ are reproducible.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -43,7 +42,10 @@ class DecodeError(Exception):
 
 
 def _xor(a: bytes, b: bytes) -> bytes:
-    return bytes(x ^ y for x, y in zip(a, b, strict=True))
+    if len(a) != len(b):
+        raise ValueError(f"cannot XOR {len(a)} bytes with {len(b)} bytes")
+    x = int.from_bytes(a, "little") ^ int.from_bytes(b, "little")
+    return x.to_bytes(len(a), "little")
 
 
 @dataclass(frozen=True)
@@ -259,39 +261,30 @@ def run_sweep(
     grid: PdaGrid,
     lib: FileLibrary,
     demands: Iterable[Sequence[int]],
-    threads: int = 1,
 ) -> SweepResult:
     """Deliver and decode every demand; report byte-exactness across all.
 
-    Placement is shared read-only.  With threads > 1 demands are checked
-    in a thread pool; the aggregate verdict does not depend on the split.
+    Caches are placed once and shared by every demand.  A demand fails when
+    it yields other than S signals, a cancellation term is missing, or a
+    reassembled file differs from the library.  Every demand is checked,
+    and the first failure in input order is reported.
     """
     params = pda_params(grid)
     caches = place(grid, lib)
-    demand_list = [tuple(d) for d in demands]
-
-    def check(d: Tuple[int, ...]) -> bool:
-        t = deliver(grid, lib, d)
-        if len(t.signals) != params.s:
-            return False
-        try:
-            return decode(grid, t, caches, d, lib).ok
-        except DecodeError:
-            return False
-
-    if threads > 1 and len(demand_list) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(check, demand_list))
-    else:
-        results = [check(d) for d in demand_list]
+    checked = 0
     first_failure = None
-    for d, ok in zip(demand_list, results):
-        if not ok:
+    for d in map(tuple, demands):
+        checked += 1
+        t = deliver(grid, lib, d)
+        try:
+            ok = len(t.signals) == params.s and decode(grid, t, caches, d, lib).ok
+        except DecodeError:
+            ok = False
+        if not ok and first_failure is None:
             first_failure = d
-            break
     return SweepResult(
-        demands_checked=len(demand_list),
-        all_ok=all(results),
+        demands_checked=checked,
+        all_ok=first_failure is None,
         rate=Fraction(params.s, params.f),
         first_failure=first_failure,
     )

@@ -1,13 +1,17 @@
 """Command-line surface: argument handling, text and JSON output, exit
 codes, and the pipes between subcommands."""
 
+import contextlib
 import io
 import json
+import os
 import shutil
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import SIGNAL_TERMS_K6_F4_Z2, golden_grid
 from pda_workbench.cli import EXIT_BUDGET, EXIT_INVALID, EXIT_OK, EXIT_USAGE, main
@@ -260,6 +264,18 @@ def test_bound_on_a_grid_failing_c1_exits_one(run):
     assert err.startswith("error: C1") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "command,text",
+    [("bound", "PLC 0 0\n"), ("fill", "PLC 4097 1\n" + ".\n" * 4097)],
+    ids=["bound-no-rows", "fill-past-the-row-cap"],
+)
+def test_placement_outside_the_row_range_exits_one(run, command, text):
+    code, out, err = run([command], stdin=text)
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_bound_budget_truncation_exits_three(run):
     code, out, _ = run(
         ["bound", "--budget", "1"], stdin=grid_text("GRID_K6_F4_Z1")
@@ -440,13 +456,6 @@ def test_simulate_needs_a_mode(run):
     assert "one of --demand, --sweep, --sample" in err
 
 
-def test_simulate_threads_match_serial_output(run):
-    argv = ["simulate", "--files", "2", "--sweep"]
-    code1, out1, _ = run(argv, stdin=format_pda(mn_pda(4, 2)))
-    code2, out2, _ = run(argv + ["--threads", "3"], stdin=format_pda(mn_pda(4, 2)))
-    assert (code1, out1) == (code2, out2)
-
-
 # ------------------------------------------------------------------ fill
 
 
@@ -610,3 +619,132 @@ def test_console_script_is_installed():
         pytest.skip("console script not on PATH in this environment")
     proc = subprocess.run([exe, "formulas"], capture_output=True, text=True)
     assert proc.returncode == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "mn", "--k", "4", "--t", "2"],
+        ["search", "--k", "4", "--f", "6", "--z", "3"],
+        ["formulas"],
+    ],
+    ids=["construct", "search", "formulas"],
+)
+def test_closed_stdout_exits_two_without_a_traceback(argv):
+    # The read end is closed before the child starts, so its first flush
+    # of stdout always meets a broken pipe.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pda_workbench.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == EXIT_USAGE
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
+
+
+# ------------------------------------------------------------------ fuzz
+
+INTS = st.integers(-2, 6).map(str)
+FORMATS = st.sampled_from(["text", "json"])
+# A write into a missing directory fails (exit 2) and leaves nothing behind.
+UNWRITABLE = st.just("no-such-dir/out")
+FUZZ_STDIN = [
+    format_pda(mn_pda(4, 2)),
+    format_placement(to_star_pattern(mn_pda(4, 2))),
+    "PDA 2 2\n* 1\n1 2\n",
+    CROSS_CELL_BAD,
+    "PLC 0 0\n",
+    "PLC 2 2\n. x\n* *\n",
+    "",
+]
+
+
+def int_flags(*names):
+    return [token for name in names for token in (st.just(name), INTS)]
+
+
+# command -> (tokens always drawn, {optional flag: its value}).  search
+# always gets --budget and table --exact-cap, so that no example runs an
+# unbounded search.
+FUZZ_COMMANDS = {
+    "construct": (
+        [st.sampled_from(["partition", "bipartite", "mn", "grouping"])]
+        + int_flags("--q", "--m", "--a", "--b", "--k", "--t", "--h"),
+        {"-o": UNWRITABLE},
+    ),
+    "verify": ([], {"--format": FORMATS}),
+    "bound": (
+        [],
+        {
+            "--method": st.sampled_from(
+                ["exact", "greedy", "ordered:partition", "ordered:bipartite", "psychic"]
+            ),
+            "--budget": INTS,
+            "--q": INTS, "--m": INTS, "--a": INTS, "--b": INTS,
+            "--format": FORMATS,
+        },
+    ),
+    "search": (
+        int_flags("--k", "--f", "--z", "--budget"),
+        {
+            "--mode": st.sampled_from(["canonical", "exhaustive"]),
+            "-o": UNWRITABLE,
+            "--format": FORMATS,
+        },
+    ),
+    "simulate": (
+        int_flags("--files") + [st.just("--sweep")],
+        {
+            "--demand": st.sampled_from(["1,2,1,2", "1", "x", "0,0,0,0"]),
+            "--sample": INTS,
+            "--seed": INTS,
+            "--packet-len": INTS,
+            "--transcript": UNWRITABLE,
+            "--format": FORMATS,
+        },
+    ),
+    "fill": (
+        [],
+        {
+            "--method": st.sampled_from(["exact", "greedy"]),
+            "--order": st.sampled_from(["row_major", "degree_desc"]),
+            "--budget": INTS,
+            "-o": UNWRITABLE,
+        },
+    ),
+    "table": (
+        int_flags("--exact-cap"),
+        {
+            "--q-list": st.sampled_from(["2", "2,3", "3,6", "1,2", "two", ""]),
+            "--m-max": INTS,
+            "-o": UNWRITABLE,
+        },
+    ),
+    "formulas": ([], {}),
+}
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.data())
+def test_fuzzed_command_lines_end_in_a_documented_exit_code(data):
+    command = data.draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
+    leading, flags = FUZZ_COMMANDS[command]
+    argv = [command] + [data.draw(token) for token in leading]
+    chosen = data.draw(st.lists(st.sampled_from(sorted(flags)), unique=True)) if flags else []
+    for flag in chosen:
+        argv += [flag, data.draw(flags[flag])]
+    stdin = io.StringIO(data.draw(st.sampled_from(FUZZ_STDIN)))
+    with mock.patch.object(sys, "stdin", stdin), \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            assert e.code == EXIT_USAGE, argv  # argparse rejected the line
+            return
+    assert code in (EXIT_OK, EXIT_INVALID, EXIT_USAGE, EXIT_BUDGET), argv

@@ -18,6 +18,7 @@ from pda_workbench.simulate import (
     deliver,
     measure_rate,
     place,
+    _xor,
     run_sweep,
     sample_demands,
 )
@@ -151,8 +152,6 @@ def test_full_sweep_small_library():
     assert res.demands_checked == 16
     assert res.all_ok and res.first_failure is None
     assert res.rate == Fraction(2, 3)
-    # a thread pool must not change the verdict
-    assert run_sweep(grid, lib, all_demands(2, 4), threads=3) == res
 
 
 def test_demand_helpers():
@@ -161,6 +160,21 @@ def test_demand_helpers():
     assert sample == sample_demands(3, 5, 7, seed=42)
     assert len(sample) == 7
     assert all(len(d) == 5 and all(1 <= x <= 3 for x in d) for d in sample)
+
+
+def test_xor_matches_bytewise_and_keeps_zero_bytes():
+    rng = random.Random(3)
+    for n in (0, 1, 7, 64, 1024):
+        a, b = rng.randbytes(n), rng.randbytes(n)
+        assert _xor(a, b) == bytes(x ^ y for x, y in zip(a, b))
+    # leading and trailing zero bytes survive the integer round trip
+    assert _xor(b"\x00\x01\x00", b"\x00\x01\x00") == bytes(3)
+    assert _xor(b"\x00\x00\x05", b"\x00\x00\x00") == b"\x00\x00\x05"
+
+
+def test_xor_rejects_unequal_lengths():
+    with pytest.raises(ValueError):
+        _xor(b"ab", b"abc")
 
 
 # ---------------------------------------------------------------------------
