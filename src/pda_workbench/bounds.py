@@ -21,11 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, product
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from itertools import combinations, product
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .constructions import partition_column_id, partition_residue_buckets, subsets
-from .core import StarPattern, canonical_pattern
+# canonical_pattern is not called here; bench/layers.py patches it by this name.
+from .core import StarPattern, canonical_pattern  # noqa: F401
 
 UserOrdering = Tuple[int, ...]
 
@@ -78,7 +79,15 @@ class BoundCertificate:
 
 @dataclass(frozen=True)
 class SearchReport:
-    """Outcome of the min-max placement search."""
+    """Outcome of the min-max placement search.
+
+    best_value is the least exact bound found and best_pattern a placement
+    attaining it.  nodes_explored counts exact-bound evaluations, partial
+    placements included; dedup_hits counts the partial placements cut
+    because their bound already reached the incumbent.  exhaustive is True
+    when the search finished within its budget with every bound exact, so
+    best_value is the true min-max; otherwise it may overshoot.
+    """
 
     k: int
     f: int
@@ -334,6 +343,10 @@ def bipartite_ordering(m: int, a: int, b: int) -> UserOrdering:
 # Min-max placement search
 # ---------------------------------------------------------------------------
 
+class _StopSearch(Exception):
+    pass
+
+
 def theorem3_search(
     k: int,
     f: int,
@@ -344,13 +357,26 @@ def theorem3_search(
     """Minimize the exact ordering bound over all Z-uniform placements.
 
     Placements assign each of the k users an (f-z)-subset of rows to leave
-    uncached.  "exhaustive" tries every assignment; "canonical" enumerates
-    nondecreasing multisets of subsets (the inner maximum is invariant
-    under user relabelling) and skips placements whose canonical pattern
-    was already evaluated.  `budget` caps the number of placements
-    processed; the search also stops as soon as a placement reaches the
-    unbeatable floor f-z.  nodes_explored counts inner evaluations,
-    dedup_hits counts canonical skips.
+    uncached.  "exhaustive" evaluates every assignment in product order and
+    materialises all C(f, z) subsets first, so it is an oracle for small
+    shapes only.  "canonical" is a depth-first branch and bound resting on
+    two exact facts:
+
+    * Row and user symmetry: relabelling rows and users changes no bound,
+      so user 1 leaves rows 1..f-z uncached and users 2..k take a
+      nondecreasing sequence of subset indices.
+    * Monotonicity: adding a user never lowers S* (put it last in any
+      ordering; it adds >= 0), so once a partial placement's exact bound
+      reaches the incumbent, none of its completions can beat it.
+
+    Partial placements are evaluated only once an incumbent exists, and
+    the subsets are generated lazily as the search first reaches them, so
+    a budget bounds time and memory for any f.
+
+    nodes_explored counts exact-bound evaluations (partial placements
+    included in "canonical"), and `budget` caps it.  dedup_hits counts the
+    partial placements cut by the monotone bound.  Both modes stop as soon
+    as a placement reaches the unbeatable floor f-z.
     """
     if k < 1:
         raise ValueError(f"need at least one user, got k={k}")
@@ -359,48 +385,84 @@ def theorem3_search(
     if mode not in ("exhaustive", "canonical"):
         raise ValueError(f"unknown search mode {mode!r}")
     if budget is not None and budget < 1:
-        raise ValueError(f"need a budget of at least one placement, got {budget}")
+        raise ValueError(f"need a budget of at least one evaluation, got {budget}")
 
-    omega = []
-    for rows in combinations(range(1, f + 1), f - z):
-        mask = 0
-        for j in rows:
-            mask |= 1 << (j - 1)
-        omega.append(mask)
-
-    if mode == "exhaustive":
-        candidates = product(omega, repeat=k)
-    else:
-        candidates = combinations_with_replacement(omega, k)
-
+    subset_masks = (
+        sum(1 << (j - 1) for j in rows) for rows in combinations(range(1, f + 1), f - z)
+    )
     floor = f - z
     best_value: Optional[int] = None
     best_pattern: Optional[StarPattern] = None
     nodes = 0
-    dedup = 0
+    pruned = 0
     complete = True
-    seen: Set[Tuple[int, ...]] = set()
 
-    for combo in candidates:
-        if budget is not None and nodes + dedup >= budget:
+    def evaluate(masks: Tuple[int, ...]) -> int:
+        nonlocal nodes, complete
+        if budget is not None and nodes >= budget:
             complete = False
-            break
-        pat = StarPattern(f, tuple(combo))
-        if mode == "canonical":
-            key = canonical_pattern(pat).masks
-            if key in seen:
-                dedup += 1
-                continue
-            seen.add(key)
-        cert = theorem1_exact(pat)
+            raise _StopSearch
         nodes += 1
+        cert = theorem1_exact(StarPattern(f, masks))
         if not cert.exact:
             complete = False
-        if best_value is None or cert.value < best_value:
-            best_value = cert.value
-            best_pattern = pat
-            if best_value == floor:
-                break
+        return cert.value
+
+    def offer(masks: Tuple[int, ...]) -> None:
+        nonlocal best_value, best_pattern
+        value = evaluate(masks)
+        if best_value is None or value < best_value:
+            best_value, best_pattern = value, StarPattern(f, masks)
+            if value == floor:
+                raise _StopSearch
+
+    if mode == "exhaustive":
+        try:
+            for combo in product(subset_masks, repeat=k):
+                offer(combo)
+        except _StopSearch:
+            pass
+    else:
+        omega: List[int] = [next(subset_masks)]
+
+        def subset(i: int) -> Optional[int]:
+            if i == len(omega):
+                nxt = next(subset_masks, None)
+                if nxt is None:
+                    return None
+                omega.append(nxt)
+            return omega[i]
+
+        # Iterative, so that k is not tied to the recursion limit.  ids
+        # holds the subset index of each placed user after user 1, and the
+        # next user tries indices from i upwards.
+        prefix: Tuple[int, ...] = (omega[0],)
+        ids: List[int] = []
+        i = 0
+        try:
+            if k == 1:
+                offer(prefix)
+            else:
+                while True:
+                    mask = subset(i)
+                    if mask is None:
+                        if not ids:
+                            break
+                        i = ids.pop() + 1
+                        prefix = prefix[:-1]
+                        continue
+                    child = prefix + (mask,)
+                    if len(child) == k:
+                        offer(child)
+                    elif best_value is not None and evaluate(child) >= best_value:
+                        pruned += 1
+                    else:
+                        ids.append(i)
+                        prefix = child
+                        continue
+                    i += 1
+        except _StopSearch:
+            pass
 
     assert best_value is not None and best_pattern is not None
     return SearchReport(
@@ -411,7 +473,7 @@ def theorem3_search(
         best_pattern=best_pattern,
         rate_bound=Fraction(best_value, f),
         nodes_explored=nodes,
-        dedup_hits=dedup,
+        dedup_hits=pruned,
         exhaustive=complete,
         mode=mode,
     )

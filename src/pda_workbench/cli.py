@@ -291,7 +291,7 @@ def cmd_search(args: argparse.Namespace) -> int:
         state = "complete" if report.exhaustive else "TRUNCATED by budget"
         print(
             f"evaluated {report.nodes_explored} placements"
-            f" ({report.dedup_hits} canonical skips), {state}"
+            f" ({report.dedup_hits} pruned), {state}"
         )
         for k, rows in enumerate(report.best_pattern.uncached_sets(), start=1):
             print(f"  user {k} uncached rows: " + " ".join(map(str, rows)))
@@ -603,8 +603,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--f", type=int, required=True)
     p.add_argument("--z", type=int, required=True)
-    p.add_argument("--mode", choices=["canonical", "exhaustive"], default="canonical")
-    p.add_argument("--budget", type=int, default=None, help="cap on placements processed")
+    p.add_argument(
+        "--mode",
+        choices=["canonical", "exhaustive"],
+        default="canonical",
+        help="canonical: branch and bound over placements up to row and user"
+        " relabelling, cutting partial placements by the monotone bound;"
+        " exhaustive: every placement in turn, after listing all C(F, Z)"
+        " subsets, as an oracle for small shapes",
+    )
+    p.add_argument(
+        "--budget",
+        type=int,
+        default=None,
+        help="cap on exact-bound evaluations (partial and full placements)",
+    )
     p.add_argument("-o", "--witness", default=None, help="write the best placement here")
     _add_format(p)
     p.set_defaults(handler=cmd_search)

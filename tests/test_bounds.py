@@ -305,7 +305,7 @@ def test_min_max_on_the_half_memory_shape():
 
 @pytest.mark.parametrize(
     "k,f,z",
-    [(2, 2, 1), (2, 3, 1), (3, 3, 2), (3, 4, 2), (4, 4, 2), (2, 4, 2)],
+    [(2, 2, 1), (2, 3, 1), (3, 3, 2), (3, 4, 2), (4, 4, 2), (2, 4, 2), (3, 5, 2), (3, 6, 3)],
 )
 def test_canonical_and_exhaustive_modes_agree(k, f, z):
     a = theorem3_search(k, f, z, mode="exhaustive")
@@ -313,6 +313,31 @@ def test_canonical_and_exhaustive_modes_agree(k, f, z):
     assert a.best_value == b.best_value
     assert a.exhaustive and b.exhaustive
     assert b.dedup_hits >= 0 and b.nodes_explored <= a.nodes_explored
+
+
+@pytest.mark.parametrize(
+    "k,f,z,budget,expected",
+    [(4, 8, 4, 5000, 6), (5, 6, 3, None, 6)],
+)
+def test_min_max_frontier_completes(k, f, z, budget, expected):
+    rep = theorem3_search(k, f, z, budget=budget)
+    assert rep.exhaustive
+    assert rep.best_value == expected
+    assert rep.best_pattern.uniform_z() == z
+    assert theorem1_exact(rep.best_pattern).value == expected
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.data())
+def test_adding_a_user_never_lowers_the_exact_bound(data):
+    # The lemma behind the search's monotone pruning: the new user goes
+    # last in any ordering and adds a nonnegative term.
+    f = data.draw(st.integers(1, 6))
+    k = data.draw(st.integers(1, 5))
+    masks = tuple(data.draw(st.integers(0, (1 << f) - 1)) for _ in range(k))
+    extra = data.draw(st.integers(0, (1 << f) - 1))
+    base = theorem1_exact(StarPattern(f, masks)).value
+    assert theorem1_exact(StarPattern(f, masks + (extra,))).value >= base
 
 
 def test_min_max_edge_cases():

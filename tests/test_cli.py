@@ -329,6 +329,17 @@ def test_search_budget_truncation_exits_three(run):
     assert "TRUNCATED by budget" in out
 
 
+def test_search_budget_bounds_a_large_row_count():
+    # C(40, 20) subsets: the budget must stop the search before it lists them.
+    proc = subprocess.run(
+        [sys.executable, "-m", "pda_workbench.cli",
+         "search", "--k", "2", "--f", "40", "--z", "20", "--budget", "1"],
+        capture_output=True, text=True, timeout=10,
+    )
+    assert proc.returncode == EXIT_BUDGET
+    assert "TRUNCATED by budget" in proc.stdout
+
+
 def test_search_z_beyond_f_is_usage(run):
     code, _, err = run(["search", "--k", "2", "--f", "2", "--z", "3"])
     assert code == EXIT_USAGE
