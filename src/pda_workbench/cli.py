@@ -315,6 +315,22 @@ def _parse_demand(text: str, k: int, n: int) -> Tuple[int, ...]:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    modes = [
+        flag
+        for flag, given in (
+            ("--demand", args.demand is not None),
+            ("--sweep", args.sweep),
+            ("--sample", args.sample is not None),
+        )
+        if given
+    ]
+    if len(modes) != 1:
+        got = f" (got {' and '.join(modes)})" if modes else ""
+        raise _UsageError(f"need one of --demand, --sweep, --sample{got}")
+    if args.sample is not None and args.sample < 1:
+        raise _UsageError(f"--sample needs at least 1 demand, got {args.sample}")
+    if args.transcript is not None and args.demand is None:
+        raise _UsageError("--transcript needs --demand")
     grid = parse_pda(_read_input(args.file))
     result = verify_pda(grid)
     if not result.valid:
@@ -362,10 +378,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     if args.sweep:
         demands = all_demands(args.files, grid.k)
-    elif args.sample is not None:
-        demands = sample_demands(args.files, grid.k, args.sample, seed=args.seed)
     else:
-        raise _UsageError("need one of --demand, --sweep, --sample")
+        demands = sample_demands(args.files, grid.k, args.sample, seed=args.seed)
     sweep = run_sweep(grid, lib, demands)
     if args.format == "json":
         _print_json(
@@ -376,6 +390,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 "all_ok": sweep.all_ok,
                 "rate": _frac_dict(sweep.rate),
                 "first_failure": list(sweep.first_failure) if sweep.first_failure else None,
+                "stats": sweep.stats,
             }
         )
     else:
@@ -625,12 +640,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run the scheme on byte payloads", allow_abbrev=False)
     p.add_argument("file", nargs="?", default="-")
     p.add_argument("--files", type=int, required=True, help="library size N")
+    # exactly one of --demand, --sweep and --sample
     p.add_argument("--demand", default=None, help="comma-separated file per user")
     p.add_argument("--sweep", action="store_true", help="try every demand in [N]^K")
-    p.add_argument("--sample", type=int, default=None, help="try this many random demands")
+    p.add_argument("--sample", type=int, default=None, help="try this many (>= 1) random demands")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--packet-len", type=int, default=64)
-    p.add_argument("--transcript", default=None, help="dump signals as JSON here")
+    p.add_argument("--transcript", default=None, help="with --demand, dump signals as JSON here")
     _add_format(p)
     p.set_defaults(handler=cmd_simulate)
 

@@ -8,6 +8,15 @@ other terms of its signal out of its own cache; the array's axioms are
 exactly what makes every cancellation term cached and every needed packet
 covered by one signal.
 
+The work splits in two.  Which cells share a symbol is fixed by the array,
+so the schedule (the symbols in id order with their sorted terms and the
+check that none repeats a row or column, the decode log, and for each
+user which rows it caches and which signal and cancellation terms serve
+the rest) is built once per array and memoised by grid content.  Only
+the payloads depend on the demand: delivery XORs each symbol's packets,
+and decoding XORs each signal with the cancellation terms taken from the
+user's own cache, both as one integer fold per signal or cell.
+
 XOR over raw bytes stands in for the unspecified field: GF(2) suffices for
 one-shot decoding.  Payloads come from a seeded generator so transcripts
 are reproducible.
@@ -16,16 +25,20 @@ are reproducible.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .core import STAR, PdaGrid, pda_params
 
 DEFAULT_PACKET_LEN = 64
 
 Cache = Dict[Tuple[int, int], bytes]  # (file n, row j) -> packet
+Term = Tuple[int, int]  # (user k, row j) of one cell
 
 
 class DecodeError(Exception):
@@ -41,11 +54,15 @@ class DecodeError(Exception):
         )
 
 
-def _xor(a: bytes, b: bytes) -> bytes:
-    if len(a) != len(b):
-        raise ValueError(f"cannot XOR {len(a)} bytes with {len(b)} bytes")
-    x = int.from_bytes(a, "little") ^ int.from_bytes(b, "little")
-    return x.to_bytes(len(a), "little")
+def _xor_fold(packets: Iterable[bytes], length: int) -> int:
+    """XOR of packets that are each `length` bytes long, as a little-endian
+    integer (0 for none); `.to_bytes(length, "little")` gives the bytes."""
+    acc = 0
+    for packet in packets:
+        if len(packet) != length:
+            raise ValueError(f"cannot XOR {len(packet)} bytes with {length} bytes")
+        acc ^= int.from_bytes(packet, "little")
+    return acc
 
 
 @dataclass(frozen=True)
@@ -144,29 +161,65 @@ def place(grid: PdaGrid, lib: FileLibrary) -> List[Cache]:
     return caches
 
 
-def deliver(grid: PdaGrid, lib: FileLibrary, d: Sequence[int]) -> DeliveryTranscript:
-    """Broadcast one signal per symbol: XOR of W_{d_k, j} over its cells."""
-    d = _check_demand(grid, lib, d)
-    by_symbol: Dict[int, List[Tuple[int, int]]] = {}
-    decode_log: Dict[Tuple[int, int], int] = {}
-    for j in range(1, grid.f + 1):
-        for k in range(1, grid.k + 1):
-            s = grid.cells[j - 1][k - 1]
+@dataclass(frozen=True)
+class _Schedule:
+    """Everything delivery and decoding need of one array, whatever the demand."""
+
+    symbols: Tuple[Tuple[int, Tuple[Term, ...]], ...]  # (id, sorted terms), by id
+    repeated: Optional[int]  # the first symbol that repeats a row or column
+    decode_log: Mapping[Term, int]  # read-only; each transcript gets a copy
+    # rows[k - 1][j - 1]: None if user k caches row j, else (signal id, the
+    # signal's other terms, which user k cancels out of its cache)
+    rows: Tuple[Tuple[Optional[Tuple[int, Tuple[Term, ...]]], ...], ...]
+
+
+@lru_cache(maxsize=8)
+def _schedule(grid: PdaGrid) -> _Schedule:
+    by_symbol: Dict[int, List[Term]] = {}
+    decode_log: Dict[Term, int] = {}
+    for j, row in enumerate(grid.cells, start=1):
+        for k, s in enumerate(row, start=1):
             if s != STAR:
                 by_symbol.setdefault(s, []).append((k, j))
                 decode_log[(k, j)] = s
+    symbols = tuple((s, tuple(sorted(by_symbol[s]))) for s in sorted(by_symbol))
+    terms_of = dict(symbols)
+
+    def repeats(terms: Tuple[Term, ...]) -> bool:
+        users, rows = zip(*terms)
+        return len(set(users)) < len(terms) or len(set(rows)) < len(terms)
+
+    def entry(k: int, j: int) -> Optional[Tuple[int, Tuple[Term, ...]]]:
+        s = decode_log.get((k, j))
+        return None if s is None else (s, tuple(t for t in terms_of[s] if t != (k, j)))
+
+    return _Schedule(
+        symbols=symbols,
+        repeated=next((s for s, terms in symbols if repeats(terms)), None),
+        decode_log=MappingProxyType(decode_log),
+        rows=tuple(
+            tuple(entry(k, j) for j in range(1, grid.f + 1)) for k in range(1, grid.k + 1)
+        ),
+    )
+
+
+def deliver(grid: PdaGrid, lib: FileLibrary, d: Sequence[int]) -> DeliveryTranscript:
+    """Broadcast one signal per symbol: XOR of W_{d_k, j} over its cells."""
+    d = _check_demand(grid, lib, d)
+    schedule = _schedule(grid)
+    if schedule.repeated is not None:
+        raise ValueError(
+            f"symbol {schedule.repeated} repeats a row or column; not a valid array"
+        )
+    wanted = [lib.packets[n - 1] for n in d]  # wanted[k - 1][j - 1] is W_{d_k, j}
+    n = lib.packet_len
     signals = []
-    for s in sorted(by_symbol):
-        terms = tuple(sorted(by_symbol[s]))
-        rows = [j for _, j in terms]
-        users = [k for k, _ in terms]
-        if len(set(rows)) != len(rows) or len(set(users)) != len(users):
-            raise ValueError(f"symbol {s} repeats a row or column; not a valid array")
-        payload = bytes(lib.packet_len)
-        for k, j in terms:
-            payload = _xor(payload, lib.packet(d[k - 1], j))
-        signals.append(Signal(id=s, terms=terms, payload=payload))
-    return DeliveryTranscript(demand=d, signals=tuple(signals), decode_log=decode_log)
+    for s, terms in schedule.symbols:
+        payload = _xor_fold([wanted[k - 1][j - 1] for k, j in terms], n)
+        signals.append(Signal(id=s, terms=terms, payload=payload.to_bytes(n, "little")))
+    return DeliveryTranscript(
+        demand=d, signals=tuple(signals), decode_log=schedule.decode_log.copy()
+    )
 
 
 @dataclass(frozen=True)
@@ -185,34 +238,32 @@ def decode(
 ) -> DecodeResult:
     """Reassemble every user's requested file from cache plus signals.
 
-    For each uncached row, the user looks up its one signal, XORs the
-    other terms' packets out of its cache, and keeps the remainder.  A
-    missing cancellation packet raises DecodeError naming the (signal,
-    user, row) — that means the array never satisfied the axioms.  The
-    ok flag compares every reassembled file byte-for-byte against the
-    library.
+    For each uncached row, the user takes its one signal's payload from the
+    transcript, XORs the other terms' packets out of its cache, and keeps
+    the remainder.  A missing cancellation packet raises DecodeError naming
+    the (signal, user, row) — that means the array never satisfied the
+    axioms.  The ok flag compares every reassembled file byte-for-byte
+    against the library.
     """
     d = _check_demand(grid, lib, d)
-    by_id = {s.id: s for s in transcript.signals}
+    n = lib.packet_len
+    payload_of = {s.id: _xor_fold([s.payload], n) for s in transcript.signals}
     files: List[bytes] = []
-    for k in range(1, grid.k + 1):
+    for k, rows in enumerate(_schedule(grid).rows, start=1):
         cache = caches[k - 1]
+        want = d[k - 1]
         parts: List[bytes] = []
-        for j in range(1, grid.f + 1):
-            if grid.cells[j - 1][k - 1] == STAR:
-                parts.append(cache[(d[k - 1], j)])
+        for j, entry in enumerate(rows, start=1):
+            if entry is None:
+                parts.append(cache[(want, j)])
                 continue
-            sid = transcript.decode_log[(k, j)]
-            signal = by_id[sid]
-            packet = signal.payload
-            for k2, j2 in signal.terms:
-                if (k2, j2) == (k, j):
-                    continue
-                term = cache.get((d[k2 - 1], j2))
-                if term is None:
-                    raise DecodeError(signal=sid, user=k, row=j)
-                packet = _xor(packet, term)
-            parts.append(packet)
+            sid, others = entry
+            payload = payload_of[sid]
+            try:
+                terms = [cache[(d[k2 - 1], j2)] for k2, j2 in others]
+            except KeyError:
+                raise DecodeError(signal=sid, user=k, row=j) from None
+            parts.append((payload ^ _xor_fold(terms, n)).to_bytes(n, "little"))
         files.append(b"".join(parts))
     ok = all(
         files[k - 1] == lib.file_bytes(d[k - 1]) for k in range(1, grid.k + 1)
@@ -255,6 +306,9 @@ class SweepResult:
     all_ok: bool
     rate: Fraction
     first_failure: Optional[Tuple[int, ...]] = None
+    # demands, signals broadcast, XOR terms (each delivery term and each
+    # cancellation term, sum of g_s^2 per demand) and elapsed_s
+    stats: Dict[str, float] = field(default_factory=dict, compare=False)
 
 
 def run_sweep(
@@ -264,18 +318,22 @@ def run_sweep(
 ) -> SweepResult:
     """Deliver and decode every demand; report byte-exactness across all.
 
-    Caches are placed once and shared by every demand.  A demand fails when
-    it yields other than S signals, a cancellation term is missing, or a
-    reassembled file differs from the library.  Every demand is checked,
-    and the first failure in input order is reported.
+    Caches are placed once and shared by every demand, and the array's
+    schedule is built once.  A demand fails when it yields other than S
+    signals, a cancellation term is missing, or a reassembled file differs
+    from the library.  Every demand is checked, and the first failure in
+    input order is reported.
     """
+    start = time.perf_counter()
     params = pda_params(grid)
     caches = place(grid, lib)
-    checked = 0
+    terms_per_demand = sum(len(terms) ** 2 for _, terms in _schedule(grid).symbols)
+    checked = signals = 0
     first_failure = None
     for d in map(tuple, demands):
         checked += 1
         t = deliver(grid, lib, d)
+        signals += len(t.signals)
         try:
             ok = len(t.signals) == params.s and decode(grid, t, caches, d, lib).ok
         except DecodeError:
@@ -287,4 +345,10 @@ def run_sweep(
         all_ok=first_failure is None,
         rate=Fraction(params.s, params.f),
         first_failure=first_failure,
+        stats={
+            "demands": checked,
+            "signals": signals,
+            "xor_terms": checked * terms_per_demand,
+            "elapsed_s": time.perf_counter() - start,
+        },
     )

@@ -467,6 +467,71 @@ def test_simulate_needs_a_mode(run):
     assert "one of --demand, --sweep, --sample" in err
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_simulate_sample_below_one_is_a_usage_error(run, count):
+    # Zero demands would certify nothing, yet read "all byte-exact".
+    code, out, err = run(
+        ["simulate", "--files", "2", "--sample", count], stdin=format_pda(mn_pda(4, 2))
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "--sample" in err
+
+
+@pytest.mark.parametrize(
+    "modes",
+    [
+        ["--sweep", "--sample", "2"],
+        ["--demand", "1,2,1,2", "--sweep"],
+        ["--demand", "1,2,1,2", "--sample", "2"],
+        ["--demand", "1,2,1,2", "--sweep", "--sample", "2"],
+    ],
+    ids=["sweep-sample", "demand-sweep", "demand-sample", "all-three"],
+)
+def test_simulate_modes_exclude_one_another(run, modes):
+    code, out, err = run(
+        ["simulate", "--files", "2", *modes], stdin=format_pda(mn_pda(4, 2))
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "one of --demand, --sweep, --sample" in err
+
+
+@pytest.mark.parametrize("mode", [["--sweep"], ["--sample", "2"]])
+def test_simulate_transcript_needs_a_single_demand(run, tmp_path, mode):
+    out_path = tmp_path / "transcript.json"
+    code, out, err = run(
+        ["simulate", "--files", "2", *mode, "--transcript", str(out_path)],
+        stdin=format_pda(mn_pda(4, 2)),
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == "error: --transcript needs --demand\n"
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "mode,demands", [(["--sweep"], 16), (["--sample", "5", "--seed", "3"], 5)]
+)
+def test_simulate_json_sweep_carries_stats(run, mode, demands):
+    code, out, _ = run(
+        ["simulate", "--files", "2", *mode, "--format", "json"],
+        stdin=format_pda(mn_pda(4, 2)),
+    )
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert payload["demands_checked"] == demands and payload["all_ok"] is True
+    stats = payload["stats"]
+    assert set(stats) == {"demands", "signals", "xor_terms", "elapsed_s"}
+    # mn(4, 2): four signals per demand, each XOR of three packets
+    assert stats["demands"] == demands
+    assert stats["signals"] == 4 * demands
+    assert stats["xor_terms"] == 4 * 9 * demands
+    assert stats["elapsed_s"] >= 0
+
+
 # ------------------------------------------------------------------ fill
 
 

@@ -8,17 +8,18 @@ from functools import reduce
 import pytest
 
 from conftest import GOLDEN_PARAMS, SIGNAL_TERMS_K6_F4_Z2, golden_grid
-from pda_workbench.constructions import mn_pda, partition_pda
+from pda_workbench.constructions import bipartite_pda, grouping_pda, mn_pda, partition_pda
 from pda_workbench.core import STAR, PdaGrid, verify_pda
 from pda_workbench.simulate import (
     DecodeError,
     FileLibrary,
+    _schedule,
+    _xor_fold,
     all_demands,
     decode,
     deliver,
     measure_rate,
     place,
-    _xor,
     run_sweep,
     sample_demands,
 )
@@ -163,18 +164,165 @@ def test_demand_helpers():
 
 
 def test_xor_matches_bytewise_and_keeps_zero_bytes():
+    def xor_bytes(packets, n):
+        return _xor_fold(packets, n).to_bytes(n, "little")
+
     rng = random.Random(3)
     for n in (0, 1, 7, 64, 1024):
-        a, b = rng.randbytes(n), rng.randbytes(n)
-        assert _xor(a, b) == bytes(x ^ y for x, y in zip(a, b))
+        a, b, c = rng.randbytes(n), rng.randbytes(n), rng.randbytes(n)
+        assert xor_bytes([a, b], n) == bytes(x ^ y for x, y in zip(a, b))
+        assert xor_bytes([a, b, c], n) == bytes(x ^ y ^ z for x, y, z in zip(a, b, c))
+        assert xor_bytes([a], n) == a
     # leading and trailing zero bytes survive the integer round trip
-    assert _xor(b"\x00\x01\x00", b"\x00\x01\x00") == bytes(3)
-    assert _xor(b"\x00\x00\x05", b"\x00\x00\x00") == b"\x00\x00\x05"
+    assert xor_bytes([b"\x00\x01\x00", b"\x00\x01\x00"], 3) == bytes(3)
+    assert xor_bytes([b"\x00\x00\x05", b"\x00\x00\x00"], 3) == b"\x00\x00\x05"
+    assert xor_bytes([], 3) == bytes(3)
 
 
 def test_xor_rejects_unequal_lengths():
     with pytest.raises(ValueError):
-        _xor(b"ab", b"abc")
+        _xor_fold([b"ab", b"abc"], 2)
+    with pytest.raises(ValueError):
+        _xor_fold([b"abc", b"ab"], 3)
+
+
+def test_zero_bytes_survive_delivery_and_decoding():
+    grid = golden_grid("GRID_K6_F4_Z2")
+    edge = [b"\x00\x00\x00\x00", b"\x00\x07\x00\x00", b"\x00\x00\x00\x09", b"\x05\x00\x00\x00"]
+    lib = FileLibrary(n=2, f=4, packet_len=4, packets=(tuple(edge), tuple(reversed(edge))))
+    d = (1, 2, 1, 2, 1, 2)
+    t = deliver(grid, lib, d)
+    assert all(len(s.payload) == 4 for s in t.signals)
+    res = decode(grid, t, place(grid, lib), d, lib)
+    assert res.ok and res.files == tuple(lib.file_bytes(n) for n in d)
+
+
+def test_packets_of_the_wrong_length_are_rejected():
+    grid = golden_grid("GRID_K4_F6_Z3")
+    lib = FileLibrary.generate(2, 6, packet_len=8, seed=1)
+    d = (1, 2, 1, 2)
+    caches = place(grid, lib)
+    short_w16 = lib.packets[0][:5] + (bytes(7),)  # W[1,6] is one byte short
+    short = FileLibrary(n=2, f=6, packet_len=8, packets=(short_w16, lib.packets[1]))
+    with pytest.raises(ValueError, match="7 bytes"):
+        deliver(grid, short, d)
+    t = deliver(grid, lib, d)
+    caches[0][(2, 3)] = bytes(9)  # user 1 cancels W[2,3] out of signal 2
+    with pytest.raises(ValueError, match="9 bytes"):
+        decode(grid, t, caches, d, lib)
+
+
+# ---------------------------------------------------------------------------
+# differential check against a byte-wise reference, and the schedule memo
+# ---------------------------------------------------------------------------
+
+
+def reference_delivery(grid, lib, d):
+    """Signals, decode log and files by byte-wise XOR straight off the cells."""
+    cells = {}
+    for j in range(1, grid.f + 1):
+        for k in range(1, grid.k + 1):
+            s = grid.cells[j - 1][k - 1]
+            if s != STAR:
+                cells.setdefault(s, []).append((k, j))
+    signals = []
+    payload_of = {}
+    for s in sorted(cells):
+        terms = tuple(sorted(cells[s]))
+        payload_of[s] = xor(lib.packet(d[k - 1], j) for k, j in terms)
+        signals.append((s, terms, payload_of[s]))
+    log = {cell: s for s, cs in cells.items() for cell in cs}
+    files = []
+    for k in range(1, grid.k + 1):
+        parts = []
+        for j in range(1, grid.f + 1):
+            s = grid.cells[j - 1][k - 1]
+            if s == STAR:
+                parts.append(lib.packet(d[k - 1], j))
+            else:
+                others = [
+                    lib.packet(d[k2 - 1], j2) for k2, j2 in cells[s] if (k2, j2) != (k, j)
+                ]
+                parts.append(xor([payload_of[s], *others]))
+        files.append(b"".join(parts))
+    return signals, log, tuple(files)
+
+
+DIFFERENTIAL_GRIDS = [golden_grid(name) for name in sorted(GOLDEN_PARAMS)] + [
+    mn_pda(4, 1),
+    mn_pda(5, 2),
+    partition_pda(2, 2),
+    partition_pda(3, 2),
+    bipartite_pda(5, 1, 2),
+    bipartite_pda(6, 2, 2),
+    grouping_pda(4, 1, 2, 2),
+]
+
+
+@pytest.mark.parametrize("grid", DIFFERENTIAL_GRIDS, ids=lambda g: f"K{g.k}-F{g.f}")
+def test_delivery_and_decode_match_the_bytewise_reference(grid):
+    assert verify_pda(grid).valid
+    lib = FileLibrary.generate(3, grid.f, packet_len=8, seed=grid.k * 100 + grid.f)
+    caches = place(grid, lib)
+    for d in sample_demands(3, grid.k, 6, seed=grid.f):
+        signals, log, files = reference_delivery(grid, lib, d)
+        t = deliver(grid, lib, d)
+        assert [(s.id, s.terms, s.payload) for s in t.signals] == signals
+        assert t.decode_log == log
+        res = decode(grid, t, caches, d, lib)
+        assert res.files == files == tuple(lib.file_bytes(n) for n in d)
+        assert res.ok and res.log == log
+
+
+def test_transcripts_share_no_state_through_the_memo():
+    grid = golden_grid("GRID_K6_F4_Z2")
+    lib = FileLibrary.generate(6, 4, seed=0)
+    d = (1, 2, 3, 4, 5, 6)
+    first = deliver(grid, lib, d)
+    expected = dict(first.decode_log)
+    first.decode_log[(1, 4)] = 99
+    del first.decode_log[(2, 2)]
+    again = deliver(grid, lib, d)
+    assert again.decode_log == expected
+    assert again.signals == deliver(PdaGrid(grid.cells), lib, d).signals
+    res = decode(grid, again, place(grid, lib), d, lib)
+    assert res.ok and res.log == expected
+    res.log.clear()
+    assert deliver(grid, lib, d).decode_log == expected
+
+
+def test_grids_of_one_shape_never_share_a_schedule():
+    # Same shape and stars, symbols 1 and 2 swapped: each array must be
+    # delivered by its own cells, even when both sit in the memo.
+    grid = golden_grid("GRID_K6_F4_Z2")
+    swapped = PdaGrid(
+        tuple(tuple({1: 2, 2: 1}.get(c, c) for c in row) for row in grid.cells)
+    )
+    assert verify_pda(swapped).valid and swapped != grid
+    assert _schedule(grid) is not _schedule(swapped)
+    lib = FileLibrary.generate(6, 4, packet_len=8, seed=4)
+    d = (6, 5, 4, 3, 2, 1)
+    for g in (grid, swapped, grid):
+        signals, log, _ = reference_delivery(g, lib, d)
+        t = deliver(g, lib, d)
+        assert [(s.id, s.terms, s.payload) for s in t.signals] == signals
+        assert t.decode_log == log
+
+
+def test_a_sweep_builds_the_schedule_once():
+    grid = mn_pda(4, 2)
+    lib = FileLibrary.generate(2, 6, packet_len=8, seed=9)
+    _schedule.cache_clear()
+    res = run_sweep(PdaGrid(grid.cells), lib, all_demands(2, 4))
+    assert _schedule.cache_info().misses == 1
+    assert res.all_ok and res.demands_checked == 16
+    # four symbols, each on three cells: 3 delivery + 3 * 2 cancellation terms
+    assert {key: res.stats[key] for key in ("demands", "signals", "xor_terms")} == {
+        "demands": 16,
+        "signals": 16 * 4,
+        "xor_terms": 16 * 4 * 9,
+    }
+    assert res.stats["elapsed_s"] >= 0
 
 
 # ---------------------------------------------------------------------------
