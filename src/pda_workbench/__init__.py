@@ -1,7 +1,7 @@
 """Placement delivery arrays: construction, verification, bounds, filling,
 and byte-level scheme simulation.
 
-The useful entry points re-exported here:
+Import each name from the module that defines it:
 
 * core:          PdaGrid, StarPattern, verify_pda, pda_params, text formats
 * constructions: partition_pda, bipartite_pda, mn_pda, grouping_pda
@@ -10,148 +10,7 @@ The useful entry points re-exported here:
 * formulas:      the closed forms with their built-in oracles
 * simulate:      FileLibrary, place/deliver/decode, demand sweeps
 * filler:        conflict-graph coloring (fill_greedy, fill_exact)
+* cli:           the pda-workbench command
 """
 
-from .bounds import (
-    BoundCertificate,
-    SearchReport,
-    bipartite_ordering,
-    corollary1_value,
-    eval_ordering,
-    partition_ordering,
-    theorem1_exact,
-    theorem1_greedy,
-    theorem3_search,
-)
-from .constructions import (
-    BipartiteSpec,
-    PartitionSpec,
-    bipartite_pda,
-    grouping_pda,
-    mn_pda,
-    partition_pda,
-    partition_residue_buckets,
-    residue_q,
-)
-from .core import (
-    MAX_ROWS,
-    STAR,
-    MalformedGridError,
-    PdaGrid,
-    PdaParams,
-    StarPattern,
-    VerifyResult,
-    Violation,
-    canonical_pattern,
-    format_pda,
-    format_placement,
-    parse_pda,
-    parse_placement,
-    pda_params,
-    to_star_pattern,
-    verify_pda,
-)
-from .filler import (
-    ConflictGraph,
-    FillResult,
-    build_conflict_graph,
-    fill_exact,
-    fill_greedy,
-)
-from .formulas import (
-    PartitionCounts,
-    RatioReport,
-    binomial_identity_check,
-    c_cardinality,
-    formula_ratio,
-    geometric_sum,
-    lemma3_intersection,
-    partition_bound_closed,
-    partition_bound_printed_odd,
-    partition_counts,
-    phi,
-    ratio_report,
-)
-from .simulate import (
-    DecodeError,
-    DecodeResult,
-    DeliveryTranscript,
-    FileLibrary,
-    Signal,
-    SweepResult,
-    all_demands,
-    decode,
-    deliver,
-    measure_rate,
-    place,
-    run_sweep,
-    sample_demands,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BipartiteSpec",
-    "BoundCertificate",
-    "ConflictGraph",
-    "DecodeError",
-    "DecodeResult",
-    "DeliveryTranscript",
-    "FileLibrary",
-    "FillResult",
-    "MAX_ROWS",
-    "MalformedGridError",
-    "PartitionCounts",
-    "PartitionSpec",
-    "PdaGrid",
-    "PdaParams",
-    "RatioReport",
-    "STAR",
-    "SearchReport",
-    "Signal",
-    "StarPattern",
-    "SweepResult",
-    "VerifyResult",
-    "Violation",
-    "all_demands",
-    "binomial_identity_check",
-    "bipartite_ordering",
-    "bipartite_pda",
-    "build_conflict_graph",
-    "c_cardinality",
-    "canonical_pattern",
-    "corollary1_value",
-    "decode",
-    "deliver",
-    "eval_ordering",
-    "fill_exact",
-    "fill_greedy",
-    "format_pda",
-    "format_placement",
-    "formula_ratio",
-    "geometric_sum",
-    "grouping_pda",
-    "lemma3_intersection",
-    "measure_rate",
-    "mn_pda",
-    "parse_pda",
-    "parse_placement",
-    "partition_bound_closed",
-    "partition_bound_printed_odd",
-    "partition_counts",
-    "partition_ordering",
-    "partition_pda",
-    "partition_residue_buckets",
-    "pda_params",
-    "phi",
-    "place",
-    "ratio_report",
-    "residue_q",
-    "run_sweep",
-    "sample_demands",
-    "theorem1_exact",
-    "theorem1_greedy",
-    "theorem3_search",
-    "to_star_pattern",
-    "verify_pda",
-]

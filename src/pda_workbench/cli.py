@@ -69,6 +69,7 @@ from .formulas import (
     ratio_report,
 )
 from .simulate import (
+    DEFAULT_PACKET_LEN,
     DecodeError,
     FileLibrary,
     all_demands,
@@ -415,10 +416,9 @@ def cmd_fill(args: argparse.Namespace) -> int:
         )
         return EXIT_INVALID
     if args.method == "greedy":
-        grid = fill_greedy(pattern, vertex_order=args.order)
-        s = grid.max_symbol()
+        grid = fill_greedy(pattern)
         _write_output(args.output, format_pda(grid))
-        print(f"greedy fill ({args.order}): S = {s}", file=sys.stderr)
+        print(f"greedy fill: S = {grid.max_symbol()}", file=sys.stderr)
         return EXIT_OK
     result = fill_exact(pattern, budget=args.budget)
     _write_output(args.output, format_pda(result.grid))
@@ -645,7 +645,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sweep", action="store_true", help="try every demand in [N]^K")
     p.add_argument("--sample", type=int, default=None, help="try this many (>= 1) random demands")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--packet-len", type=int, default=64)
+    p.add_argument("--packet-len", type=int, default=DEFAULT_PACKET_LEN)
     p.add_argument("--transcript", default=None, help="with --demand, dump signals as JSON here")
     _add_format(p)
     p.set_defaults(handler=cmd_simulate)
@@ -653,7 +653,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fill", help="synthesize a PDA for a star pattern", allow_abbrev=False)
     p.add_argument("file", nargs="?", default="-")
     p.add_argument("--method", choices=["exact", "greedy"], default="exact")
-    p.add_argument("--order", choices=["row_major", "degree_desc"], default="row_major")
     p.add_argument(
         "--budget", type=int, default=DEFAULT_COLOR_BUDGET, help="node cap for the exact search"
     )
@@ -661,7 +660,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_fill)
 
     p = sub.add_parser("table", help="bound-vs-construction comparison CSV", allow_abbrev=False)
-    p.add_argument("--family", choices=["partition"], default="partition")
     p.add_argument("--q-list", default="2,3,4,5")
     p.add_argument("--m-max", type=int, default=5)
     p.add_argument("--exact-cap", type=int, default=16, help="run the exact engine up to this many users")

@@ -21,7 +21,10 @@ Typical round trip::
     res = verify_pda(grid)          # res.valid, res.violations
     params = pda_params(grid)       # (K, F, Z, S), rate, memory ratio
     pat = to_star_pattern(grid)     # per-user uncached row sets
-    canon = canonical_pattern(pat)  # representative modulo row/col perms
+
+`canonical_pattern` (below) has no caller in the package.  It stays only
+as the hook that the benchmark's per-layer trace patches by name, until
+the benchmark stops patching it.
 
 Internally stars are stored as 0 (`STAR`) and symbols as positive ints.
 All external formats and reports are 1-based.

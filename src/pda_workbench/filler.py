@@ -6,12 +6,14 @@ columns and their two cross cells are both stars, so legal assignments are
 exactly the proper colorings of a *conflict graph* on the non-star cells —
 and the minimum symbol count is its chromatic number.
 
-`fill_greedy` colors in a fixed order (fast, no optimality claim).
-`fill_exact` finds the chromatic number by trying k = LB, LB+1, ... with a
-saturation-guided backtracking search.  The lower bound is the larger of a
-greedy clique and the ordering bound on the same pattern — the bound that
-limits every array with this placement also limits every coloring, which
-is what lets the search start high and certify optimality early.
+`fill_greedy` colors first-fit in two vertex orders, row-major and most
+neighbors first, and keeps the better (fast, no optimality claim).
+`fill_exact` starts from that coloring and finds the chromatic number by
+trying k = LB, LB+1, ... with a saturation-guided backtracking search.
+The lower bound is the larger of a greedy clique and the ordering bound on
+the same pattern — the bound that limits every array with this placement
+also limits every coloring, which is what lets the search start high and
+certify optimality early.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .bounds import theorem1_exact
 from .core import STAR, PdaGrid, StarPattern, _mask_to_rows
 
 DEFAULT_COLOR_BUDGET = 5_000_000
+_BOUND_BUDGET = 1_000_000  # intersections for the ordering lower bound
 
 
 @dataclass(frozen=True)
@@ -72,36 +75,52 @@ def build_conflict_graph(pattern: StarPattern) -> ConflictGraph:
 def _grid_from_coloring(
     pattern: StarPattern, graph: ConflictGraph, colors: Sequence[int]
 ) -> PdaGrid:
-    used = sorted(set(colors))
-    dense = {c: i + 1 for i, c in enumerate(used)}
+    # Both colorers open color c only once 1..c-1 are in use, so the colors
+    # are already the dense symbols 1..S.
     cells = [[STAR] * pattern.k for _ in range(pattern.f)]
     for (j, k), c in zip(graph.vertices, colors):
-        cells[j - 1][k - 1] = dense[c]
+        cells[j - 1][k - 1] = c
     return PdaGrid(tuple(tuple(row) for row in cells))
 
 
-def fill_greedy(pattern: StarPattern, vertex_order: str = "row_major") -> PdaGrid:
-    """Greedy coloring; the grid satisfies C2/C3 by construction.
+def _greedy_orders(graph: ConflictGraph) -> Dict[str, Sequence[int]]:
+    """The two first-fit vertex orders: row-major, and descending degree
+    (ties row-major)."""
+    return {
+        "row_major": range(graph.n),
+        "degree_desc": sorted(range(graph.n), key=lambda v: -len(graph.adj[v])),
+    }
 
-    (C1 additionally needs the input pattern to miss equally many rows per
-    user, as every pattern of an actual array does.)  Orders: "row_major"
-    scans cells as written; "degree_desc" colors constrained cells first,
-    which usually lands closer to the optimum.
-    """
-    graph = build_conflict_graph(pattern)
-    order = list(range(graph.n))
-    if vertex_order == "degree_desc":
-        order.sort(key=lambda v: (-len(graph.adj[v]), graph.vertices[v]))
-    elif vertex_order != "row_major":
-        raise ValueError(f"unknown vertex order {vertex_order!r}")
+
+def _first_fit(graph: ConflictGraph, order: Sequence[int]) -> List[int]:
     colors = [0] * graph.n
     for v in order:
-        taken = {colors[u] for u in graph.adj[v] if colors[u]}
+        taken = {colors[u] for u in graph.adj[v]}
         c = 1
         while c in taken:
             c += 1
         colors[v] = c
-    return _grid_from_coloring(pattern, graph, colors)
+    return colors
+
+
+def _greedy_coloring(graph: ConflictGraph) -> List[int]:
+    """The first-fit coloring with fewer colors, row-major on a tie."""
+    best: List[int] = []
+    for order in _greedy_orders(graph).values():
+        colors = _first_fit(graph, order)
+        if not best or max(colors) < max(best):
+            best = colors
+    return best
+
+
+def fill_greedy(pattern: StarPattern) -> PdaGrid:
+    """The better of two first-fit colorings; C2/C3 hold by construction.
+
+    (C1 additionally needs the input pattern to miss equally many rows per
+    user, as every pattern of an actual array does.)
+    """
+    graph = build_conflict_graph(pattern)
+    return _grid_from_coloring(pattern, graph, _greedy_coloring(graph))
 
 
 @dataclass(frozen=True)
@@ -180,17 +199,14 @@ def _saturation_search(
     return (colors if found else None), nodes
 
 
-def fill_exact(
-    pattern: StarPattern,
-    budget: int = DEFAULT_COLOR_BUDGET,
-    bound_budget: int = 1_000_000,
-) -> FillResult:
+def fill_exact(pattern: StarPattern, budget: int = DEFAULT_COLOR_BUDGET) -> FillResult:
     """Minimum-symbol fill with an optimality verdict.
 
-    Colors counts are tried upward from the lower bound; the first feasible
-    count is the chromatic number provided every smaller count was refuted
-    within budget.  On budget exhaustion the best grid found so far comes
-    back with optimal=False.
+    The conflict graph is built once; the `fill_greedy` coloring on it is
+    the starting upper bound.  Color counts are tried upward from the lower
+    bound; the first feasible count is the chromatic number provided every
+    smaller count was refuted within `budget` search nodes.  On budget
+    exhaustion the greedy grid comes back with optimal=False.
     """
     graph = build_conflict_graph(pattern)
     if graph.n == 0:
@@ -198,17 +214,11 @@ def fill_exact(
         return FillResult(grid=grid, colors=0, optimal=True, lower_bound=0)
 
     # The ordering bound caps any array on this pattern, colorings included.
-    bound_cert = theorem1_exact(pattern, budget=bound_budget)
+    bound_cert = theorem1_exact(pattern, budget=_BOUND_BUDGET)
     lb = max(_greedy_clique(graph), bound_cert.value, 1)
 
-    best_grid: Optional[PdaGrid] = None
-    best_colors = 0
-    for order in ("row_major", "degree_desc"):
-        grid = fill_greedy(pattern, order)
-        s = grid.max_symbol()
-        if best_grid is None or s < best_colors:
-            best_grid, best_colors = grid, s
-    assert best_grid is not None
+    greedy = _greedy_coloring(graph)
+    best_grid, best_colors = _grid_from_coloring(pattern, graph, greedy), max(greedy)
 
     if best_colors == lb:
         return FillResult(grid=best_grid, colors=lb, optimal=True, lower_bound=lb)

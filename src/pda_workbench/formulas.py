@@ -10,11 +10,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 from .bounds import eval_ordering, partition_ordering, theorem1_exact
 from .constructions import partition_pda, partition_residue_buckets, residue_q
 from .core import to_star_pattern
+
+_EXACT_BUDGET = 2_000_000  # intersections for ratio_report's exact bound
 
 
 def phi(q: int, z: int) -> Fraction:
@@ -199,7 +201,6 @@ class RatioReport:
     s_exact: Optional[int]
     mu: Optional[Fraction]
     formula_ratio: Fraction
-    exact_method: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.s_exact is not None:
@@ -223,7 +224,6 @@ def ratio_report(
     q: int,
     m: int,
     want_exact: bool = False,
-    exact_budget: int = 2_000_000,
 ) -> RatioReport:
     """Assemble s_pda, the derived bound, and (optionally) the true maximum.
 
@@ -236,20 +236,17 @@ def ratio_report(
     s_pda = (q - 1) * q ** m
     s_derived = partition_bound_closed(q, m)
     s_exact: Optional[int] = None
-    method: Optional[str] = None
     if s_derived == s_pda:
         s_exact = s_derived
-        method = "sandwich"
     elif want_exact:
         try:
             pattern = to_star_pattern(partition_pda(q, m))
         except ValueError:
             pattern = None
         if pattern is not None:
-            cert = theorem1_exact(pattern, budget=exact_budget)
+            cert = theorem1_exact(pattern, budget=_EXACT_BUDGET)
             if cert.exact:
                 s_exact = cert.value
-                method = "search"
     return RatioReport(
         q=q,
         m=m,
@@ -258,5 +255,4 @@ def ratio_report(
         s_exact=s_exact,
         mu=None if s_exact is None else Fraction(s_exact, s_derived),
         formula_ratio=formula_ratio(q, m),
-        exact_method=method,
     )

@@ -547,14 +547,24 @@ def test_fill_exact_from_a_placement_certifies(run, tmp_path):
 
 def test_fill_accepts_a_grid_and_keeps_its_stars(run):
     code, out, err = run(
-        ["fill", "--method", "greedy", "--order", "degree_desc"],
+        ["fill", "--method", "greedy"],
         stdin=grid_text("GRID_K6_F8_Z5"),
     )
     assert code == EXIT_OK
-    assert err.startswith("greedy fill (degree_desc): S = ")
+    assert err.startswith("greedy fill: S = ")
     grid = parse_pda(out)
     assert to_star_pattern(grid) == to_star_pattern(golden_grid("GRID_K6_F8_Z5"))
     assert verify_pda(grid).valid
+
+
+def test_fill_greedy_reports_the_better_order(run):
+    # First fit needs 4 symbols in row-major order, 3 most-neighbors-first.
+    code, out, err = run(
+        ["fill", "--method", "greedy"], stdin=format_placement(StarPattern(4, (9, 6, 10)))
+    )
+    assert code == EXIT_OK
+    assert err == "greedy fill: S = 3\n"
+    assert parse_pda(out).max_symbol() == 3
 
 
 def test_fill_budget_truncation_exits_three(run, tmp_path):

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from conftest import golden_grid
+from pda_workbench import filler
 from pda_workbench.bounds import theorem1_exact
 from pda_workbench.core import STAR, PdaGrid, StarPattern, to_star_pattern, verify_pda
 from pda_workbench.filler import (
@@ -151,15 +152,30 @@ def test_fully_cached_pattern_has_empty_graph():
     "name", ["GRID_K6_F4_Z2", "GRID_K6_F4_Z1", "GRID_K4_F6_Z3", "GRID_K6_F8_Z5"]
 )
 def test_greedy_fill_is_a_valid_array_on_the_same_stars(name, order):
+    # Each first-fit order on its own yields a valid array; fill_greedy keeps
+    # one of them, so it is valid too and never uses more symbols.
     pattern = pattern_of(name)
-    grid = fill_greedy(pattern, vertex_order=order)
+    graph = build_conflict_graph(pattern)
+    colors = filler._first_fit(graph, filler._greedy_orders(graph)[order])
+    one_order = filler._grid_from_coloring(pattern, graph, colors)
+    assert verify_pda(one_order).valid
+    assert to_star_pattern(one_order) == pattern
+    grid = fill_greedy(pattern)
     assert verify_pda(grid).valid
     assert to_star_pattern(grid) == pattern
+    assert grid.max_symbol() <= one_order.max_symbol()
 
 
-def test_greedy_fill_rejects_unknown_orders():
-    with pytest.raises(ValueError, match="vertex order"):
-        fill_greedy(pattern_of("GRID_K4_F6_Z3"), vertex_order="shuffled")
+# Frozen from a seeded scan: first fit in row-major order needs 4 symbols
+# here, and most-neighbors-first needs 3 (which is also the optimum).
+DEGREE_ORDER_WINS = StarPattern(4, (9, 6, 10))
+
+
+def test_greedy_fill_keeps_the_better_order():
+    grid = fill_greedy(DEGREE_ORDER_WINS)
+    assert grid.max_symbol() == 3
+    assert verify_pda(grid).valid
+    assert to_star_pattern(grid) == DEGREE_ORDER_WINS
 
 
 def test_greedy_symbols_are_dense_from_one():
@@ -261,8 +277,20 @@ def test_exact_never_beats_the_ordering_bound_and_never_loses_to_greedy():
         if not result.optimal:
             continue
         assert theorem1_exact(pattern).value <= result.colors
-        for order in ("row_major", "degree_desc"):
-            assert result.colors <= fill_greedy(pattern, order).max_symbol()
+        assert result.colors <= fill_greedy(pattern).max_symbol()
+
+
+def test_exact_fill_builds_the_conflict_graph_once(monkeypatch):
+    calls = []
+
+    def counting(pattern):
+        calls.append(pattern)
+        return build_conflict_graph(pattern)
+
+    monkeypatch.setattr(filler, "build_conflict_graph", counting)
+    result = fill_exact(pattern_of("GRID_K6_F4_Z1"))
+    assert result.optimal
+    assert len(calls) == 1
 
 
 def test_exhausted_budget_reports_the_greedy_grid_unproven():

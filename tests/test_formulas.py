@@ -12,6 +12,7 @@ from math import comb
 
 import pytest
 
+from pda_workbench import formulas
 from pda_workbench.bounds import eval_ordering, partition_ordering
 from pda_workbench.constructions import partition_pda, partition_rows, residue_q
 from pda_workbench.core import to_star_pattern
@@ -247,7 +248,7 @@ def test_formula_ratio_strictly_below_one_otherwise(q):
 def test_ratio_report_q2_closes_without_searching():
     rep = ratio_report(2, 6)
     assert rep.s_pda == rep.s_derived == rep.s_exact == 64
-    assert rep.mu == 1 and rep.exact_method == "sandwich"
+    assert rep.mu == 1
 
 
 def test_ratio_report_q3_m2_with_exact_search():
@@ -257,17 +258,17 @@ def test_ratio_report_q3_m2_with_exact_search():
     # 17 was pinned by brute force over all 9! orderings
     assert (rep.s_derived, rep.s_exact, rep.s_pda) == (15, 17, 18)
     assert rep.mu == Fraction(17, 15)
-    assert rep.exact_method == "search"
     assert rep.formula_ratio == Fraction(5, 6)
 
 
 def test_ratio_report_without_exact_leaves_the_middle_open():
     rep = ratio_report(3, 2)
-    assert rep.s_exact is None and rep.mu is None and rep.exact_method is None
+    assert rep.s_exact is None and rep.mu is None
 
 
-def test_ratio_report_budget_truncation_leaves_the_middle_open():
-    rep = ratio_report(3, 3, want_exact=True, exact_budget=2)
+def test_ratio_report_budget_truncation_leaves_the_middle_open(monkeypatch):
+    monkeypatch.setattr(formulas, "_EXACT_BUDGET", 2)
+    rep = ratio_report(3, 3, want_exact=True)
     assert rep.s_exact is None
 
 

@@ -2,6 +2,8 @@
 decoding, and the guarantee that a corrupted array cannot decode cleanly."""
 
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from functools import reduce
 
@@ -400,3 +402,16 @@ def test_star_corruption_fuzz_never_decodes_silently():
         except (ValueError, DecodeError):
             failures += 1
     assert failures == 100
+
+
+def test_importing_simulate_loads_only_core():
+    # The package namespace re-exports nothing, so a library caller of the
+    # simulator never pays for the bound, fill or formula modules.
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, pda_workbench.simulate;"
+         " print(' '.join(sorted(m for m in sys.modules if m.startswith('pda_workbench'))))"],
+        capture_output=True, text=True, timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["pda_workbench", "pda_workbench.core", "pda_workbench.simulate"]
