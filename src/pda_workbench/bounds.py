@@ -9,19 +9,21 @@ walking the users in any order, each newly counted packet of the running
 intersection must be served by a symbol no earlier user could share.
 
 This module evaluates the sum for a prescribed ordering (`eval_ordering`),
-maximizes it exactly by a longest path over the distinct running
-intersections (`theorem1_exact`) or greedily (`theorem1_greedy`), produces
-the prescribed orderings that are provably maximal for the partition and
-bipartite families, and minimizes S* over all admissible placements
-(`theorem3_search`) to get a placement-free bound on the rate at a given
-subpacketization.
+finds a maximizing ordering exactly by a longest path over the distinct
+running intersections (`theorem1_exact`) or greedily (`theorem1_greedy`),
+produces the prescribed orderings that are provably maximal for the
+partition and bipartite families, and minimizes S* over all admissible
+placements by one branch and bound (`theorem3_search`) to get a
+placement-free bound on the rate at a given subpacketization.  Every
+certificate is its ordering replayed by `eval_ordering`, the one place the
+sum is computed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .constructions import partition_column_id, partition_residue_buckets, subsets
@@ -94,11 +96,13 @@ class SearchReport:
     z: int
     best_value: int
     best_pattern: StarPattern
-    rate_bound: Fraction
     nodes_explored: int
     dedup_hits: int
     exhaustive: bool
-    mode: str
+
+    @property
+    def rate_bound(self) -> Fraction:
+        return Fraction(self.best_value, self.f)
 
     def as_dict(self) -> dict:
         return {
@@ -116,7 +120,6 @@ class SearchReport:
             "nodes_explored": self.nodes_explored,
             "dedup_hits": self.dedup_hits,
             "exhaustive": self.exhaustive,
-            "mode": self.mode,
         }
 
 
@@ -158,33 +161,19 @@ def eval_ordering(pattern: StarPattern, order: Sequence[int]) -> BoundCertificat
 
 def theorem1_greedy(pattern: StarPattern) -> BoundCertificate:
     """Maximize each step locally: largest |I & A_k|, ties to smallest k."""
-    kk = pattern.k
+    masks = pattern.masks
     inter = (1 << pattern.f) - 1
-    unused = list(range(1, kk + 1))
-    witness: List[int] = []
-    steps: List[int] = []
+    unused = list(range(1, pattern.k + 1))
+    order: List[int] = []
     while unused:
-        best_k, best_gain = unused[0], -1
-        for u in unused:
-            gain = (inter & pattern.masks[u - 1]).bit_count()
-            if gain > best_gain:
-                best_k, best_gain = u, gain
-        if best_gain == 0:
-            witness.extend(unused)
-            steps.extend([0] * len(unused))
+        best = max(unused, key=lambda u: (inter & masks[u - 1]).bit_count())
+        if inter & masks[best - 1] == 0:
+            order += unused
             break
-        unused.remove(best_k)
-        witness.append(best_k)
-        steps.append(best_gain)
-        inter &= pattern.masks[best_k - 1]
-    return BoundCertificate(
-        value=sum(steps),
-        f=pattern.f,
-        witness=tuple(witness),
-        step_sizes=tuple(steps),
-        method="greedy",
-        exact=False,
-    )
+        unused.remove(best)
+        order.append(best)
+        inter &= masks[best - 1]
+    return replace(eval_ordering(pattern, order), method="greedy")
 
 
 class _OutOfBudget(Exception):
@@ -211,9 +200,11 @@ def theorem1_exact(
     The witness is rebuilt from the memo: a prefix of p users with running
     intersection I has exact future (N(I) - p) * |I| + f(I), so taking at
     each step the smallest unused user whose step plus future still meets
-    the optimum gives the lexicographically smallest optimal ordering.  If
-    the budget runs out, the better of the identity ordering and the greedy
-    one is returned with method "branch_bound" and exact=False.
+    the optimum gives the lexicographically smallest optimal ordering.  The
+    certificate is that ordering replayed by `eval_ordering`, and an
+    AssertionError is raised if the replay misses S*.  If the budget runs
+    out, the better of the identity ordering and the greedy one is returned
+    with method "branch_bound" and exact=False.
     """
     masks = pattern.masks
     full = (1 << pattern.f) - 1
@@ -251,26 +242,21 @@ def theorem1_exact(
     inter = full
     unused = list(range(1, pattern.k + 1))
     witness: List[int] = []
-    steps: List[int] = []
+    remaining = target
     while unused:
         for u in unused:
             child = inter & masks[u - 1]
             size = child.bit_count()
-            if (n_of(child) - len(witness)) * size + memo[child] == target:
+            if (n_of(child) - len(witness)) * size + memo[child] == remaining:
                 break
         unused.remove(u)
         witness.append(u)
-        steps.append(size)
-        target -= size
+        remaining -= size
         inter = child
-    return BoundCertificate(
-        value=sum(steps),
-        f=pattern.f,
-        witness=tuple(witness),
-        step_sizes=tuple(steps),
-        method="exact",
-        exact=True,
-    )
+    cert = eval_ordering(pattern, witness)
+    if cert.value != target:
+        raise AssertionError(f"witness replays to {cert.value}, the memo says {target}")
+    return replace(cert, method="exact", exact=True)
 
 
 def corollary1_value(pattern: StarPattern, order: Sequence[int]) -> int:
@@ -351,16 +337,13 @@ def theorem3_search(
     k: int,
     f: int,
     z: int,
-    mode: str = "canonical",
     budget: Optional[int] = None,
 ) -> SearchReport:
     """Minimize the exact ordering bound over all Z-uniform placements.
 
     Placements assign each of the k users an (f-z)-subset of rows to leave
-    uncached.  "exhaustive" evaluates every assignment in product order and
-    materialises all C(f, z) subsets first, so it is an oracle for small
-    shapes only.  "canonical" is a depth-first branch and bound resting on
-    two exact facts:
+    uncached.  The search is a depth-first branch and bound resting on two
+    exact facts:
 
     * Row and user symmetry: relabelling rows and users changes no bound,
       so user 1 leaves rows 1..f-z uncached and users 2..k take a
@@ -373,17 +356,15 @@ def theorem3_search(
     the subsets are generated lazily as the search first reaches them, so
     a budget bounds time and memory for any f.
 
-    nodes_explored counts exact-bound evaluations (partial placements
-    included in "canonical"), and `budget` caps it.  dedup_hits counts the
-    partial placements cut by the monotone bound.  Both modes stop as soon
-    as a placement reaches the unbeatable floor f-z.
+    nodes_explored counts exact-bound evaluations, partial placements
+    included, and `budget` caps it.  dedup_hits counts the partial
+    placements cut by the monotone bound.  The search stops as soon as a
+    placement reaches the unbeatable floor f-z.
     """
     if k < 1:
         raise ValueError(f"need at least one user, got k={k}")
     if not 0 <= z <= f:
         raise ValueError(f"need 0 <= z <= f, got z={z}, f={f}")
-    if mode not in ("exhaustive", "canonical"):
-        raise ValueError(f"unknown search mode {mode!r}")
     if budget is not None and budget < 1:
         raise ValueError(f"need a budget of at least one evaluation, got {budget}")
 
@@ -416,53 +397,46 @@ def theorem3_search(
             if value == floor:
                 raise _StopSearch
 
-    if mode == "exhaustive":
-        try:
-            for combo in product(subset_masks, repeat=k):
-                offer(combo)
-        except _StopSearch:
-            pass
-    else:
-        omega: List[int] = [next(subset_masks)]
+    omega: List[int] = [next(subset_masks)]
 
-        def subset(i: int) -> Optional[int]:
-            if i == len(omega):
-                nxt = next(subset_masks, None)
-                if nxt is None:
-                    return None
-                omega.append(nxt)
-            return omega[i]
+    def subset(i: int) -> Optional[int]:
+        if i == len(omega):
+            nxt = next(subset_masks, None)
+            if nxt is None:
+                return None
+            omega.append(nxt)
+        return omega[i]
 
-        # Iterative, so that k is not tied to the recursion limit.  ids
-        # holds the subset index of each placed user after user 1, and the
-        # next user tries indices from i upwards.
-        prefix: Tuple[int, ...] = (omega[0],)
-        ids: List[int] = []
-        i = 0
-        try:
-            if k == 1:
-                offer(prefix)
-            else:
-                while True:
-                    mask = subset(i)
-                    if mask is None:
-                        if not ids:
-                            break
-                        i = ids.pop() + 1
-                        prefix = prefix[:-1]
-                        continue
-                    child = prefix + (mask,)
-                    if len(child) == k:
-                        offer(child)
-                    elif best_value is not None and evaluate(child) >= best_value:
-                        pruned += 1
-                    else:
-                        ids.append(i)
-                        prefix = child
-                        continue
-                    i += 1
-        except _StopSearch:
-            pass
+    # Iterative, so that k is not tied to the recursion limit.  ids
+    # holds the subset index of each placed user after user 1, and the
+    # next user tries indices from i upwards.
+    prefix: Tuple[int, ...] = (omega[0],)
+    ids: List[int] = []
+    i = 0
+    try:
+        if k == 1:
+            offer(prefix)
+        else:
+            while True:
+                mask = subset(i)
+                if mask is None:
+                    if not ids:
+                        break
+                    i = ids.pop() + 1
+                    prefix = prefix[:-1]
+                    continue
+                child = prefix + (mask,)
+                if len(child) == k:
+                    offer(child)
+                elif best_value is not None and evaluate(child) >= best_value:
+                    pruned += 1
+                else:
+                    ids.append(i)
+                    prefix = child
+                    continue
+                i += 1
+    except _StopSearch:
+        pass
 
     assert best_value is not None and best_pattern is not None
     return SearchReport(
@@ -471,9 +445,7 @@ def theorem3_search(
         z=z,
         best_value=best_value,
         best_pattern=best_pattern,
-        rate_bound=Fraction(best_value, f),
         nodes_explored=nodes,
         dedup_hits=pruned,
         exhaustive=complete,
-        mode=mode,
     )

@@ -282,7 +282,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
 def cmd_search(args: argparse.Namespace) -> int:
     if args.z > args.f:
         raise _UsageError(f"need Z <= F, got Z={args.z}, F={args.f}")
-    report = theorem3_search(args.k, args.f, args.z, mode=args.mode, budget=args.budget)
+    report = theorem3_search(args.k, args.f, args.z, budget=args.budget)
     if args.witness:
         _write_output(args.witness, format_placement(report.best_pattern))
     if args.format == "json":
@@ -618,15 +618,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--f", type=int, required=True)
     p.add_argument("--z", type=int, required=True)
-    p.add_argument(
-        "--mode",
-        choices=["canonical", "exhaustive"],
-        default="canonical",
-        help="canonical: branch and bound over placements up to row and user"
-        " relabelling, cutting partial placements by the monotone bound;"
-        " exhaustive: every placement in turn, after listing all C(F, Z)"
-        " subsets, as an oracle for small shapes",
-    )
     p.add_argument(
         "--budget",
         type=int,

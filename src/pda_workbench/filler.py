@@ -166,37 +166,45 @@ def _saturation_search(
     colors = [0] * n
     neighbor_colors: List[set] = [set() for _ in range(n)]
     nodes = 0
-
-    def dfs(colored: int, max_used: int) -> bool:
-        nonlocal nodes
-        if colored == n:
-            return True
-        nodes += 1
-        if nodes > budget:
-            raise _OutOfNodes()
-        v = max(
-            (u for u in range(n) if not colors[u]),
-            key=lambda u: (len(neighbor_colors[u]), len(graph.adj[u]), -u),
-        )
+    # One frame per colored vertex, so that n is not tied to the recursion
+    # limit: the vertex, the largest color in use before it, and the
+    # uncolored neighbors its color was added to.
+    stack: List[Tuple[int, int, List[int]]] = []
+    v, c, max_used = -1, 0, 0
+    while True:
+        if c == 0:  # a new node: pick the vertex to color next
+            if len(stack) == n:
+                return colors, nodes
+            nodes += 1
+            if nodes > budget:
+                raise _OutOfNodes()
+            v = max(
+                (u for u in range(n) if not colors[u]),
+                key=lambda u: (len(neighbor_colors[u]), len(graph.adj[u]), -u),
+            )
         # Trying more than one fresh color only permutes names.
-        for c in range(1, min(k, max_used + 1) + 1):
-            if c in neighbor_colors[v]:
-                continue
+        limit = min(k, max_used + 1)
+        c += 1
+        while c <= limit and c in neighbor_colors[v]:
+            c += 1
+        if c <= limit:
             colors[v] = c
             touched = [
                 u for u in graph.adj[v] if not colors[u] and c not in neighbor_colors[u]
             ]
             for u in touched:
                 neighbor_colors[u].add(c)
-            if dfs(colored + 1, max(max_used, c)):
-                return True
-            for u in touched:
-                neighbor_colors[u].remove(c)
-            colors[v] = 0
-        return False
-
-    found = dfs(0, 0)
-    return (colors if found else None), nodes
+            stack.append((v, max_used, touched))
+            max_used, c = max(max_used, c), 0
+            continue
+        # Every color for v failed: undo its parent's color and try the next.
+        if not stack:
+            return None, nodes
+        v, max_used, touched = stack.pop()
+        c = colors[v]
+        for u in touched:
+            neighbor_colors[u].remove(c)
+        colors[v] = 0
 
 
 def fill_exact(pattern: StarPattern, budget: int = DEFAULT_COLOR_BUDGET) -> FillResult:

@@ -76,13 +76,6 @@ def partition_counts(q: int, m: int) -> PartitionCounts:
     return PartitionCounts(q=q, m=m, c_sizes=sizes, e_size=(q - 1) ** m)
 
 
-def c_cardinality(q: int, m: int, v: int) -> int:
-    """|C_v| for one residue v."""
-    if not 1 <= v <= q:
-        raise ValueError(f"residue {v} outside [1, {q}]")
-    return partition_counts(q, m).c_sizes[v]
-
-
 def lemma3_intersection(
     q: int, m: int, l: int, residues: Sequence[int], f_tail: Sequence[int]
 ) -> int:

@@ -281,25 +281,6 @@ def sample_demands(n: int, k: int, count: int, seed: int = 0) -> List[Tuple[int,
     return [tuple(rng.randint(1, n) for _ in range(k)) for _ in range(count)]
 
 
-def measure_rate(
-    grid: PdaGrid, lib: FileLibrary, demands: Iterable[Sequence[int]]
-) -> Fraction:
-    """Worst-case signals-per-packet over the sampled demands.
-
-    For these schemes every symbol is broadcast whatever the demand, so
-    each demand must produce exactly S signals; that is asserted, and the
-    constant S/F comes back as an exact fraction.
-    """
-    params = pda_params(grid)
-    for d in demands:
-        t = deliver(grid, lib, d)
-        if len(t.signals) != params.s:
-            raise AssertionError(
-                f"demand {tuple(d)} produced {len(t.signals)} signals, expected {params.s}"
-            )
-    return Fraction(params.s, params.f)
-
-
 @dataclass(frozen=True)
 class SweepResult:
     demands_checked: int

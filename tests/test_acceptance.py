@@ -104,7 +104,7 @@ def test_acceptance_2_exact_bound_on_the_z1_placement():
 
 @criterion(3, 60.0)
 def test_acceptance_3_minmax_search_and_fill_at_k4_f6_z3():
-    report = theorem3_search(4, 6, 3, mode="canonical")
+    report = theorem3_search(4, 6, 3)
     assert report.best_value == 4
     assert report.rate_bound == Fraction(2, 3)
     assert report.exhaustive

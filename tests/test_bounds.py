@@ -293,11 +293,31 @@ def test_bipartite_ordering_is_tight(m, a, b):
 # ---------------------------------------------------------------------------
 
 
+def brute_force_min_max(k, f, z):
+    """Least exact bound over every Z-uniform placement, in product order.
+
+    Also returns how many placements it evaluated: up to and including the
+    first that reaches the floor f - z, past which nothing can be lower,
+    or all of them.
+    """
+    rows = itertools.combinations(range(1, f + 1), f - z)
+    masks = [sum(1 << (j - 1) for j in r) for r in rows]
+    best, evaluated = None, 0
+    for placement in itertools.product(masks, repeat=k):
+        evaluated += 1
+        cert = theorem1_exact(StarPattern(f, placement))
+        assert cert.exact
+        best = cert.value if best is None else min(best, cert.value)
+        if best == f - z:
+            break
+    return best, evaluated
+
+
 def test_min_max_on_the_half_memory_shape():
-    rep = theorem3_search(4, 6, 3, mode="canonical")
+    rep = theorem3_search(4, 6, 3)
     assert rep.best_value == 4
     assert rep.rate_bound == Fraction(2, 3)
-    assert rep.exhaustive and rep.mode == "canonical"
+    assert rep.exhaustive
     # the winning placement really attains 4 and is Z-uniform
     assert theorem1_exact(rep.best_pattern).value == 4
     assert rep.best_pattern.uniform_z() == 3
@@ -308,11 +328,11 @@ def test_min_max_on_the_half_memory_shape():
     [(2, 2, 1), (2, 3, 1), (3, 3, 2), (3, 4, 2), (4, 4, 2), (2, 4, 2), (3, 5, 2), (3, 6, 3)],
 )
 def test_canonical_and_exhaustive_modes_agree(k, f, z):
-    a = theorem3_search(k, f, z, mode="exhaustive")
-    b = theorem3_search(k, f, z, mode="canonical")
-    assert a.best_value == b.best_value
-    assert a.exhaustive and b.exhaustive
-    assert b.dedup_hits >= 0 and b.nodes_explored <= a.nodes_explored
+    best, evaluated = brute_force_min_max(k, f, z)
+    rep = theorem3_search(k, f, z)
+    assert rep.best_value == best
+    assert rep.exhaustive
+    assert rep.dedup_hits >= 0 and rep.nodes_explored <= evaluated
 
 
 @pytest.mark.parametrize(
@@ -347,7 +367,7 @@ def test_min_max_edge_cases():
 
 
 def test_min_max_budget_truncates_honestly():
-    rep = theorem3_search(4, 6, 3, mode="canonical", budget=5)
+    rep = theorem3_search(4, 6, 3, budget=5)
     assert not rep.exhaustive
     assert rep.best_value >= 4  # partial minimum can only overshoot
 
@@ -360,7 +380,7 @@ def test_search_report_as_dict_shape():
     assert d["exhaustive"] is True
     assert set(d) == {
         "k", "f", "z", "best_value", "rate_bound", "witness_uncached_sets",
-        "nodes_explored", "dedup_hits", "exhaustive", "mode",
+        "nodes_explored", "dedup_hits", "exhaustive",
     }
 
 
@@ -369,5 +389,3 @@ def test_search_rejects_bad_arguments():
         theorem3_search(0, 2, 1)
     with pytest.raises(ValueError):
         theorem3_search(2, 2, 3)
-    with pytest.raises(ValueError):
-        theorem3_search(2, 2, 1, mode="sideways")

@@ -778,7 +778,6 @@ FUZZ_COMMANDS = {
     "search": (
         int_flags("--k", "--f", "--z", "--budget"),
         {
-            "--mode": st.sampled_from(["canonical", "exhaustive"]),
             "-o": UNWRITABLE,
             "--format": FORMATS,
         },
@@ -798,7 +797,6 @@ FUZZ_COMMANDS = {
         [],
         {
             "--method": st.sampled_from(["exact", "greedy"]),
-            "--order": st.sampled_from(["row_major", "degree_desc"]),
             "--budget": INTS,
             "-o": UNWRITABLE,
         },

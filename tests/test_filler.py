@@ -306,3 +306,12 @@ def test_exhausted_budget_reports_the_greedy_grid_unproven():
     assert truncated.lower_bound == 3
     assert verify_pda(truncated.grid).valid
     assert to_star_pattern(truncated.grid) == pattern
+
+
+def test_saturation_search_descends_past_the_recursion_limit():
+    # One user missing all 1,100 rows: a 1,100-clique, colored one vertex
+    # per search level, deeper than Python's default recursion limit.
+    graph = build_conflict_graph(StarPattern(1100, ((1 << 1100) - 1,)))
+    colors, nodes = filler._saturation_search(graph, graph.n, 10**6)
+    assert sorted(colors) == list(range(1, 1101))
+    assert nodes == 1100

@@ -20,7 +20,6 @@ from pda_workbench.formulas import (
     PartitionCounts,
     RatioReport,
     binomial_identity_check,
-    c_cardinality,
     formula_ratio,
     geometric_sum,
     lemma3_intersection,
@@ -79,7 +78,7 @@ def test_residue_class_sizes_match_enumeration(q, m):
     brute = brute_residue_classes(q, m)
     assert counts.c_sizes == brute
     assert counts.e_size == (q - 1) ** m
-    assert all(c_cardinality(q, m, v) == brute[v] for v in range(1, q + 1))
+    assert all(partition_counts(q, m).c_sizes[v] == brute[v] for v in range(1, q + 1))
 
 
 @pytest.mark.parametrize("q,m", [(q, m) for q in range(2, 7) for m in range(2, 9)])

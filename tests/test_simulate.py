@@ -20,7 +20,6 @@ from pda_workbench.simulate import (
     all_demands,
     decode,
     deliver,
-    measure_rate,
     place,
     run_sweep,
     sample_demands,
@@ -132,18 +131,17 @@ def test_demand_validation():
 
 def test_measured_rates_are_the_exact_constants():
     lib6 = FileLibrary.generate(2, 4, packet_len=4, seed=3)
-    assert measure_rate(
-        golden_grid("GRID_K6_F4_Z2"), lib6, all_demands(2, 6)
-    ) == Fraction(1)
+    res6 = run_sweep(golden_grid("GRID_K6_F4_Z2"), lib6, all_demands(2, 6))
+    assert res6.all_ok and res6.rate == Fraction(1)
     grid = partition_pda(3, 2)
     lib9 = FileLibrary.generate(2, 9, packet_len=4, seed=3)
-    assert measure_rate(grid, lib9, sample_demands(2, 9, 10, seed=4)) == Fraction(2)
+    res9 = run_sweep(grid, lib9, sample_demands(2, 9, 10, seed=4))
+    assert res9.all_ok and res9.rate == Fraction(2)
 
 
 def test_all_star_grid_broadcasts_nothing():
     grid = PdaGrid(((STAR, STAR), (STAR, STAR)))
     lib = FileLibrary.generate(2, 2, packet_len=4, seed=0)
-    assert measure_rate(grid, lib, all_demands(2, 2)) == 0
     res = run_sweep(grid, lib, all_demands(2, 2))
     assert res.all_ok and res.rate == 0 and res.demands_checked == 4
 
