@@ -21,10 +21,10 @@ sum is computed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .constructions import partition_column_id, partition_residue_buckets, subsets
 # canonical_pattern is not called here; bench/layers.py patches it by this name.
@@ -37,8 +37,9 @@ UserOrdering = Tuple[int, ...]
 DEFAULT_NODE_BUDGET = 10_000_000
 
 
-@dataclass(frozen=True)
-class BoundCertificate:
+class BoundCertificate(
+    namedtuple("BoundCertificate", "value f witness step_sizes method exact")
+):
     """A witnessed lower bound: value = sum of nested-intersection sizes.
 
     method is one of "exact" (proven maximum), "branch_bound" (the exact
@@ -48,20 +49,24 @@ class BoundCertificate:
     carry exact=True.
     """
 
-    value: int
-    f: int
-    witness: UserOrdering
-    step_sizes: Tuple[int, ...]
-    method: str
-    exact: bool
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.value != sum(self.step_sizes):
+    def __new__(
+        cls,
+        value: int,
+        f: int,
+        witness: UserOrdering,
+        step_sizes: Tuple[int, ...],
+        method: str,
+        exact: bool,
+    ) -> "BoundCertificate":
+        if value != sum(step_sizes):
             raise ValueError("certificate value disagrees with its steps")
-        if any(a < b for a, b in zip(self.step_sizes, self.step_sizes[1:])):
+        if any(a < b for a, b in zip(step_sizes, step_sizes[1:])):
             raise ValueError("intersection sizes must be non-increasing")
-        if len(set(self.witness)) != len(self.witness):
+        if len(set(witness)) != len(witness):
             raise ValueError("witness ordering repeats a user")
+        return super().__new__(cls, value, f, witness, step_sizes, method, exact)
 
     @property
     def rate_bound(self) -> Fraction:
@@ -79,8 +84,7 @@ class BoundCertificate:
         }
 
 
-@dataclass(frozen=True)
-class SearchReport:
+class SearchReport(NamedTuple):
     """Outcome of the min-max placement search.
 
     best_value is the least exact bound found and best_pattern a placement
@@ -173,7 +177,9 @@ def theorem1_greedy(pattern: StarPattern) -> BoundCertificate:
         unused.remove(best)
         order.append(best)
         inter &= masks[best - 1]
-    return replace(eval_ordering(pattern, order), method="greedy")
+    # _replace skips BoundCertificate's checks.  They read neither method
+    # nor exact, the only fields that this and theorem1_exact relabel.
+    return eval_ordering(pattern, order)._replace(method="greedy")
 
 
 class _OutOfBudget(Exception):
@@ -237,7 +243,7 @@ def theorem1_exact(
         identity = eval_ordering(pattern, range(1, pattern.k + 1))
         greedy = theorem1_greedy(pattern)
         best_cert = greedy if greedy.value > identity.value else identity
-        return replace(best_cert, method="branch_bound", exact=False)
+        return best_cert._replace(method="branch_bound", exact=False)
 
     inter = full
     unused = list(range(1, pattern.k + 1))
@@ -256,7 +262,7 @@ def theorem1_exact(
     cert = eval_ordering(pattern, witness)
     if cert.value != target:
         raise AssertionError(f"witness replays to {cert.value}, the memo says {target}")
-    return replace(cert, method="exact", exact=True)
+    return cert._replace(method="exact", exact=True)
 
 
 def corollary1_value(pattern: StarPattern, order: Sequence[int]) -> int:

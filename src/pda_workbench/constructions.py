@@ -15,10 +15,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from .core import MAX_ROWS, STAR, PdaGrid, PdaParams
 
@@ -109,8 +108,7 @@ def partition_pda(q: int, m: int) -> PdaGrid:
     return PdaGrid(tuple(cells))
 
 
-@dataclass(frozen=True)
-class PartitionSpec:
+class PartitionSpec(NamedTuple):
     q: int
     m: int
 
@@ -183,8 +181,7 @@ def grouping_pda(m: int, a: int, b: int, h: int) -> PdaGrid:
     return PdaGrid(tuple(cells))
 
 
-@dataclass(frozen=True)
-class BipartiteSpec:
+class BipartiteSpec(NamedTuple):
     m: int
     a: int
     b: int

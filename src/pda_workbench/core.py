@@ -28,13 +28,18 @@ the benchmark stops patching it.
 
 Internally stars are stored as 0 (`STAR`) and symbols as positive ints.
 All external formats and reports are 1-based.
+
+The records here and in the other modules are immutable named tuples, so
+they unpack, compare, hash and sort like plain tuples of their fields
+(a `PdaGrid` is the 1-tuple `(cells,)`).  Their checks and normalisation
+run in `__new__`; `_replace` builds a copy without re-running them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 STAR = 0
 
@@ -47,20 +52,17 @@ class MalformedGridError(ValueError):
     """Structural problem (ragged rows, bad token) -- not an axiom violation."""
 
 
-@dataclass(frozen=True)
-class PdaParams:
-    k: int
-    f: int
-    z: int
-    s: int
+class PdaParams(namedtuple("PdaParams", "k f z s")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.k < 1 or self.f < 1:
-            raise ValueError(f"need K >= 1 and F >= 1, got K={self.k}, F={self.f}")
-        if not 0 <= self.z <= self.f:
-            raise ValueError(f"need 0 <= Z <= F, got Z={self.z}, F={self.f}")
-        if self.s < 0:
-            raise ValueError(f"need S >= 0, got S={self.s}")
+    def __new__(cls, k: int, f: int, z: int, s: int) -> "PdaParams":
+        if k < 1 or f < 1:
+            raise ValueError(f"need K >= 1 and F >= 1, got K={k}, F={f}")
+        if not 0 <= z <= f:
+            raise ValueError(f"need 0 <= Z <= F, got Z={z}, F={f}")
+        if s < 0:
+            raise ValueError(f"need S >= 0, got S={s}")
+        return super().__new__(cls, k, f, z, s)
 
     @property
     def rate(self) -> Fraction:
@@ -76,14 +78,16 @@ class PdaParams:
         return (self.k, self.f, self.z, self.s)
 
 
-@dataclass(frozen=True)
-class PdaGrid:
-    """F x K array; cells[j][k] is STAR (0) or a positive symbol id."""
+class PdaGrid(namedtuple("PdaGrid", "cells")):
+    """F x K array; cells[j][k] is STAR (0) or a positive symbol id.
 
-    cells: Tuple[Tuple[int, ...], ...]
+    Rows given as any iterables are stored as tuples of tuples.
+    """
 
-    def __post_init__(self) -> None:
-        rows = tuple(tuple(row) for row in self.cells)
+    __slots__ = ()
+
+    def __new__(cls, cells: Iterable[Iterable[int]]) -> "PdaGrid":
+        rows = tuple(tuple(row) for row in cells)
         if not rows or not rows[0]:
             raise MalformedGridError("grid must have at least one row and one column")
         width = len(rows[0])
@@ -99,7 +103,7 @@ class PdaGrid:
                     )
         if len(rows) > MAX_ROWS:
             raise MalformedGridError(f"F={len(rows)} exceeds the row cap {MAX_ROWS}")
-        object.__setattr__(self, "cells", rows)
+        return super().__new__(cls, rows)
 
     @property
     def f(self) -> int:
@@ -117,26 +121,27 @@ class PdaGrid:
         return max((c for row in self.cells for c in row), default=0)
 
 
-@dataclass(frozen=True)
-class StarPattern:
-    """Per-user uncached row sets A_k, as bitmasks over [F] (bit j-1 = row j)."""
+class StarPattern(namedtuple("StarPattern", "f masks")):
+    """Per-user uncached row sets A_k, as bitmasks over [F] (bit j-1 = row j).
 
-    f: int
-    masks: Tuple[int, ...]
+    Masks given as any iterable are stored as a tuple.
+    """
 
-    def __post_init__(self) -> None:
-        if self.f < 1:
-            raise ValueError(f"need F >= 1, got {self.f}")
-        if self.f > MAX_ROWS:
-            raise ValueError(f"F={self.f} exceeds the row cap {MAX_ROWS}")
-        masks = tuple(self.masks)
+    __slots__ = ()
+
+    def __new__(cls, f: int, masks: Iterable[int]) -> "StarPattern":
+        if f < 1:
+            raise ValueError(f"need F >= 1, got {f}")
+        if f > MAX_ROWS:
+            raise ValueError(f"F={f} exceeds the row cap {MAX_ROWS}")
+        masks = tuple(masks)
         if not masks:
             raise ValueError("need at least one user")
-        full = (1 << self.f) - 1
+        full = (1 << f) - 1
         for k, m in enumerate(masks, start=1):
             if not 0 <= m <= full:
-                raise ValueError(f"user {k} mask {m:#x} out of range for F={self.f}")
-        object.__setattr__(self, "masks", masks)
+                raise ValueError(f"user {k} mask {m:#x} out of range for F={f}")
+        return super().__new__(cls, f, masks)
 
     @classmethod
     def from_sets(cls, f: int, sets: Iterable[Iterable[int]]) -> "StarPattern":
@@ -186,8 +191,7 @@ def _mask_to_rows(mask: int) -> Tuple[int, ...]:
     return tuple(rows)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One broken axiom with the offending 1-based cells.
 
     C3a/C3b carry the two same-symbol cells.  C1 anchors the mismatched
@@ -200,13 +204,12 @@ class Violation:
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class VerifyResult:
-    valid: bool
-    violations: Tuple[Violation, ...]
+class VerifyResult(namedtuple("VerifyResult", "valid violations")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        assert self.valid == (not self.violations)
+    def __new__(cls, valid: bool, violations: Tuple[Violation, ...]) -> "VerifyResult":
+        assert valid == (not violations)
+        return super().__new__(cls, valid, violations)
 
 
 def _star_counts(grid: PdaGrid) -> List[int]:

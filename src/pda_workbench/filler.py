@@ -18,8 +18,7 @@ certify optimality early.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .bounds import theorem1_exact
 from .core import STAR, PdaGrid, StarPattern, _mask_to_rows
@@ -28,8 +27,7 @@ DEFAULT_COLOR_BUDGET = 5_000_000
 _BOUND_BUDGET = 1_000_000  # intersections for the ordering lower bound
 
 
-@dataclass(frozen=True)
-class ConflictGraph:
+class ConflictGraph(NamedTuple):
     """Non-star cells and the pairs that must not share a symbol."""
 
     vertices: Tuple[Tuple[int, int], ...]  # (row j, user k), row-major
@@ -123,8 +121,7 @@ def fill_greedy(pattern: StarPattern) -> PdaGrid:
     return _grid_from_coloring(pattern, graph, _greedy_coloring(graph))
 
 
-@dataclass(frozen=True)
-class FillResult:
+class FillResult(NamedTuple):
     """Outcome of an exact fill: the grid, its symbol count, and the proof
     state (optimal=True means the search closed the gap to lower_bound or
     exhausted every smaller color count)."""

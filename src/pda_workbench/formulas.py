@@ -7,7 +7,7 @@ or is written to be cross-checked by the test suite's independent oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import comb
 from typing import Dict, Optional, Sequence
@@ -31,8 +31,7 @@ def phi(q: int, z: int) -> Fraction:
     return Fraction((q - z) * q ** (z - 1), (q - 1) ** z)
 
 
-@dataclass(frozen=True)
-class PartitionCounts:
+class PartitionCounts(namedtuple("PartitionCounts", "q m c_sizes e_size")):
     """Residue-class sizes |C_v| for the checksum coordinate.
 
     C_v collects the tails (f_2..f_m) over [q-1] whose sum has least
@@ -40,14 +39,14 @@ class PartitionCounts:
     q-coordinate among f_1..f_m.
     """
 
-    q: int
-    m: int
-    c_sizes: Dict[int, int]
-    e_size: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if sum(self.c_sizes.values()) != (self.q - 1) ** (self.m - 1):
+    def __new__(
+        cls, q: int, m: int, c_sizes: Dict[int, int], e_size: int
+    ) -> "PartitionCounts":
+        if sum(c_sizes.values()) != (q - 1) ** (m - 1):
             raise ValueError("residue classes must partition the tails")
+        return super().__new__(cls, q, m, c_sizes, e_size)
 
 
 def partition_counts(q: int, m: int) -> PartitionCounts:
@@ -183,25 +182,31 @@ def binomial_identity_check(m: int, a: int, b: int) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class RatioReport:
+class RatioReport(
+    namedtuple("RatioReport", "q m s_pda s_derived s_exact mu formula_ratio")
+):
     """One row of the bound-vs-construction comparison table."""
 
-    q: int
-    m: int
-    s_pda: int
-    s_derived: int
-    s_exact: Optional[int]
-    mu: Optional[Fraction]
-    formula_ratio: Fraction
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.s_exact is not None:
-            if not self.s_derived <= self.s_exact <= self.s_pda:
+    def __new__(
+        cls,
+        q: int,
+        m: int,
+        s_pda: int,
+        s_derived: int,
+        s_exact: Optional[int],
+        mu: Optional[Fraction],
+        formula_ratio: Fraction,
+    ) -> "RatioReport":
+        if s_exact is not None:
+            if not s_derived <= s_exact <= s_pda:
                 raise ValueError(
-                    f"exact value {self.s_exact} outside "
-                    f"[{self.s_derived}, {self.s_pda}]"
+                    f"exact value {s_exact} outside [{s_derived}, {s_pda}]"
                 )
+        return super().__new__(
+            cls, q, m, s_pda, s_derived, s_exact, mu, formula_ratio
+        )
 
 
 def formula_ratio(q: int, m: int) -> Fraction:

@@ -26,12 +26,12 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from types import MappingProxyType
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .core import STAR, PdaGrid, pda_params
 
@@ -65,8 +65,7 @@ def _xor_fold(packets: Iterable[bytes], length: int) -> int:
     return acc
 
 
-@dataclass(frozen=True)
-class FileLibrary:
+class FileLibrary(NamedTuple):
     """N files of F equal-length packets each."""
 
     n: int
@@ -99,15 +98,13 @@ class FileLibrary:
         return b"".join(self.packets[n - 1])
 
 
-@dataclass(frozen=True)
-class Signal:
+class Signal(NamedTuple):
     id: int
     terms: Tuple[Tuple[int, int], ...]  # (user, row), sorted
     payload: bytes
 
 
-@dataclass(frozen=True)
-class DeliveryTranscript:
+class DeliveryTranscript(NamedTuple):
     demand: Tuple[int, ...]
     signals: Tuple[Signal, ...]
     decode_log: Dict[Tuple[int, int], int]  # (user, row) -> signal id
@@ -161,8 +158,7 @@ def place(grid: PdaGrid, lib: FileLibrary) -> List[Cache]:
     return caches
 
 
-@dataclass(frozen=True)
-class _Schedule:
+class _Schedule(NamedTuple):
     """Everything delivery and decoding need of one array, whatever the demand."""
 
     symbols: Tuple[Tuple[int, Tuple[Term, ...]], ...]  # (id, sorted terms), by id
@@ -222,8 +218,7 @@ def deliver(grid: PdaGrid, lib: FileLibrary, d: Sequence[int]) -> DeliveryTransc
     )
 
 
-@dataclass(frozen=True)
-class DecodeResult:
+class DecodeResult(NamedTuple):
     files: Tuple[bytes, ...]  # per user, the reassembled requested file
     ok: bool
     log: Dict[Tuple[int, int], int]
@@ -281,15 +276,43 @@ def sample_demands(n: int, k: int, count: int, seed: int = 0) -> List[Tuple[int,
     return [tuple(rng.randint(1, n) for _ in range(k)) for _ in range(count)]
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    demands_checked: int
-    all_ok: bool
-    rate: Fraction
-    first_failure: Optional[Tuple[int, ...]] = None
-    # demands, signals broadcast, XOR terms (each delivery term and each
-    # cancellation term, sum of g_s^2 per demand) and elapsed_s
-    stats: Dict[str, float] = field(default_factory=dict, compare=False)
+class SweepResult(
+    namedtuple("SweepResult", "demands_checked all_ok rate first_failure stats")
+):
+    """Outcome of a demand sweep.
+
+    stats holds the demands, signals broadcast, XOR terms (each delivery
+    term and each cancellation term, sum of g_s^2 per demand) and
+    elapsed_s.  It is left out of ==, != and hash, so two sweeps of the
+    same input compare equal however long each took.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        demands_checked: int,
+        all_ok: bool,
+        rate: Fraction,
+        first_failure: Optional[Tuple[int, ...]] = None,
+        stats: Optional[Dict[str, float]] = None,
+    ) -> "SweepResult":
+        if stats is None:
+            stats = {}
+        return super().__new__(cls, demands_checked, all_ok, rate, first_failure, stats)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SweepResult):
+            return NotImplemented
+        return self[:-1] == other[:-1]
+
+    def __ne__(self, other: object) -> bool:
+        if not isinstance(other, SweepResult):
+            return NotImplemented
+        return self[:-1] != other[:-1]
+
+    def __hash__(self) -> int:
+        return hash(self[:-1])
 
 
 def run_sweep(

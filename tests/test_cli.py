@@ -832,3 +832,22 @@ def test_fuzzed_command_lines_end_in_a_documented_exit_code(data):
             assert e.code == EXIT_USAGE, argv  # argparse rejected the line
             return
     assert code in (EXIT_OK, EXIT_INVALID, EXIT_USAGE, EXIT_BUDGET), argv
+
+
+# ------------------------------------------------------------- start-up
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # Every process pays the CLI's import, and the records are plain named
+    # tuples, so neither module has a reason to load.  The snapshot keeps
+    # the test true where site loads either one before the package.
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; before = set(sys.modules); import pda_workbench.cli;"
+         " print(' '.join(sorted(set(sys.modules) - before)))"],
+        capture_output=True, text=True, timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "pda_workbench.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect"}
