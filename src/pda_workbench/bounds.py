@@ -210,8 +210,11 @@ def theorem1_exact(
     certificate is that ordering replayed by `eval_ordering`, and an
     AssertionError is raised if the replay misses S*.  If the budget runs
     out, the better of the identity ordering and the greedy one is returned
-    with method "branch_bound" and exact=False.
+    with method "branch_bound" and exact=False.  A negative budget raises
+    ValueError.
     """
+    if budget < 0:
+        raise ValueError(f"need a budget of at least 0 intersections, got {budget}")
     masks = pattern.masks
     full = (1 << pattern.f) - 1
     holders: Dict[int, int] = {}

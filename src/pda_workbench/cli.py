@@ -25,7 +25,6 @@ import json
 import os
 import sys
 from fractions import Fraction
-from math import comb
 from typing import Optional, Sequence, Tuple
 
 from .bounds import (
@@ -39,6 +38,8 @@ from .bounds import (
     theorem3_search,
 )
 from .constructions import (
+    BipartiteSpec,
+    PartitionSpec,
     bipartite_pda,
     grouping_pda,
     mn_pda,
@@ -47,6 +48,7 @@ from .constructions import (
 from .core import (
     MalformedGridError,
     PdaGrid,
+    PdaParams,
     StarPattern,
     format_pda,
     format_placement,
@@ -123,45 +125,54 @@ def _frac_dict(x: Fraction) -> dict:
     return {"num": x.numerator, "den": x.denominator}
 
 
-def _print_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2))
+def _write_json(path: Optional[str], command: str, **fields) -> None:
+    """Write the versioned envelope that every JSON output is."""
+    payload = {"schema": SCHEMA, "command": command, **fields}
+    _write_output(path, json.dumps(payload, indent=2) + "\n")
+
+
+def _params_line(params: PdaParams) -> str:
+    return (
+        f"K={params.k} F={params.f} Z={params.z} S={params.s}"
+        f" rate={params.rate} memory={params.memory_ratio}"
+    )
 
 
 # ---------------------------------------------------------------------------
 # construct
 # ---------------------------------------------------------------------------
 
-def _require(args: argparse.Namespace, names: Sequence[str], family: str) -> None:
+# family -> (its builder's name in this module, the builder's flags in
+# order).  The builder is looked up by name when a command runs, so that a
+# wrapper installed on this module's attribute sees the call.
+_FAMILIES = {
+    "partition": ("partition_pda", ("q", "m")),
+    "bipartite": ("bipartite_pda", ("m", "a", "b")),
+    "mn": ("mn_pda", ("k", "t")),
+    "grouping": ("grouping_pda", ("m", "a", "b", "h")),
+}
+
+
+def _family_args(
+    args: argparse.Namespace, family: str, command: str
+) -> Tuple[Tuple[int, ...], str]:
+    """The family's flag values and its `family(x=.., y=..)` label."""
+    names = _FAMILIES[family][1]
     missing = [n for n in names if getattr(args, n) is None]
     if missing:
         flags = ", ".join("--" + n for n in missing)
-        raise _UsageError(f"construct {family} needs {flags}")
+        raise _UsageError(f"{command} needs {flags}")
+    values = tuple(getattr(args, n) for n in names)
+    label = ", ".join(f"{n}={v}" for n, v in zip(names, values))
+    return values, f"{family}({label})"
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
-    if args.family == "partition":
-        _require(args, ["q", "m"], "partition")
-        grid = partition_pda(args.q, args.m)
-        label = f"partition(q={args.q}, m={args.m})"
-    elif args.family == "bipartite":
-        _require(args, ["m", "a", "b"], "bipartite")
-        grid = bipartite_pda(args.m, args.a, args.b)
-        label = f"bipartite(m={args.m}, a={args.a}, b={args.b})"
-    elif args.family == "mn":
-        _require(args, ["k", "t"], "mn")
-        grid = mn_pda(args.k, args.t)
-        label = f"mn(k={args.k}, t={args.t})"
-    else:
-        _require(args, ["m", "a", "b", "h"], "grouping")
-        grid = grouping_pda(args.m, args.a, args.b, args.h)
-        label = f"grouping(m={args.m}, a={args.a}, b={args.b}, h={args.h})"
+    values, label = _family_args(args, args.family, f"construct {args.family}")
+    grid = globals()[_FAMILIES[args.family][0]](*values)
     params = pda_params(grid)
     _write_output(args.output, format_pda(grid))
-    print(
-        f"{label}: K={params.k} F={params.f} Z={params.z} S={params.s}"
-        f" rate={params.rate} memory={params.memory_ratio}",
-        file=sys.stderr,
-    )
+    print(f"{label}: {_params_line(params)}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -174,9 +185,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     result = verify_pda(grid)
     params = pda_params(grid) if result.valid else None
     if args.format == "json":
-        payload = {
-            "schema": SCHEMA,
-            "command": "verify",
+        fields = {
             "valid": result.valid,
             "violations": [
                 {"axiom": v.axiom, "cells": [list(c) for c in v.cells], "detail": v.detail}
@@ -184,21 +193,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
             ],
         }
         if params:
-            payload["params"] = {
-                "k": params.k,
-                "f": params.f,
-                "z": params.z,
-                "s": params.s,
+            fields["params"] = {
+                **params._asdict(),
                 "rate": _frac_dict(params.rate),
                 "memory_ratio": _frac_dict(params.memory_ratio),
             }
-        _print_json(payload)
+        _write_json(None, "verify", **fields)
     elif result.valid:
         assert params is not None
-        print(
-            f"valid PDA: K={params.k} F={params.f} Z={params.z} S={params.s}"
-            f" rate={params.rate} memory={params.memory_ratio}"
-        )
+        print(f"valid PDA: {_params_line(params)}")
     else:
         print(f"INVALID: {len(result.violations)} violation(s)")
         for v in result.violations:
@@ -216,24 +219,18 @@ def _ordered_certificate(
 ) -> BoundCertificate:
     family = args.method.split(":", 1)[1]
     if family == "partition":
-        _require(args, ["q", "m"], "bound --method ordered:partition")
-        q, m = args.q, args.m
-        if pattern.k != (m + 1) * q or pattern.f != q ** m:
-            raise _UsageError(
-                f"pattern is {pattern.f}x{pattern.k}, but partition(q={q}, m={m}) "
-                f"needs {q ** m}x{(m + 1) * q}"
-            )
-        return eval_ordering(pattern, partition_ordering(q, m))
-    if family == "bipartite":
-        _require(args, ["m", "a", "b"], "bound --method ordered:bipartite")
-        m, a, b = args.m, args.a, args.b
-        if pattern.k != comb(m, a) or pattern.f != comb(m, b):
-            raise _UsageError(
-                f"pattern is {pattern.f}x{pattern.k}, but bipartite(m={m}, a={a}, b={b}) "
-                f"needs {comb(m, b)}x{comb(m, a)}"
-            )
-        return eval_ordering(pattern, bipartite_ordering(m, a, b))
-    raise _UsageError(f"unknown ordering family {family!r}")
+        spec, ordering = PartitionSpec, partition_ordering
+    elif family == "bipartite":
+        spec, ordering = BipartiteSpec, bipartite_ordering
+    else:
+        raise _UsageError(f"unknown ordering family {family!r}")
+    values, label = _family_args(args, family, f"bound --method {args.method}")
+    shape = spec(*values).expected_params()
+    if pattern.k != shape.k or pattern.f != shape.f:
+        raise _UsageError(
+            f"pattern is {pattern.f}x{pattern.k}, but {label} needs {shape.f}x{shape.k}"
+        )
+    return eval_ordering(pattern, ordering(*values))
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
@@ -257,11 +254,10 @@ def cmd_bound(args: argparse.Namespace) -> int:
     certified = cert.value == grid_symbols
 
     if args.format == "json":
-        payload = {"schema": SCHEMA, "command": "bound", **cert.as_dict()}
+        fields = cert.as_dict()
         if grid_symbols is not None:
-            payload["grid_symbols"] = grid_symbols
-            payload["certified"] = certified
-        _print_json(payload)
+            fields.update(grid_symbols=grid_symbols, certified=certified)
+        _write_json(None, "bound", **fields)
     else:
         print(f"value: {cert.value}")
         print(f"rate bound: {cert.rate_bound}")
@@ -286,7 +282,7 @@ def cmd_search(args: argparse.Namespace) -> int:
     if args.witness:
         _write_output(args.witness, format_placement(report.best_pattern))
     if args.format == "json":
-        _print_json({"schema": SCHEMA, "command": "search", **report.as_dict()})
+        _write_json(None, "search", **report.as_dict())
     else:
         print(f"min-max value: {report.best_value} (rate bound {report.rate_bound})")
         state = "complete" if report.exhaustive else "TRUNCATED by budget"
@@ -354,18 +350,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             ok = False
             failure = f"signal {e.signal}, user {e.user}, row {e.row}"
         if args.transcript:
-            payload = {"schema": SCHEMA, "command": "simulate", **transcript.as_dict()}
-            _write_output(args.transcript, json.dumps(payload, indent=2) + "\n")
+            _write_json(args.transcript, "simulate", **transcript.as_dict())
         if args.format == "json":
-            _print_json(
-                {
-                    "schema": SCHEMA,
-                    "command": "simulate",
-                    "demand": list(d),
-                    "signals": len(transcript.signals),
-                    "ok": ok,
-                    "rate": _frac_dict(params.rate),
-                }
+            _write_json(
+                None,
+                "simulate",
+                demand=list(d),
+                signals=len(transcript.signals),
+                ok=ok,
+                rate=_frac_dict(params.rate),
             )
         else:
             print(f"valid PDA: K={params.k} F={params.f} Z={params.z} S={params.s}")
@@ -383,16 +376,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         demands = sample_demands(args.files, grid.k, args.sample, seed=args.seed)
     sweep = run_sweep(grid, lib, demands)
     if args.format == "json":
-        _print_json(
-            {
-                "schema": SCHEMA,
-                "command": "simulate",
-                "demands_checked": sweep.demands_checked,
-                "all_ok": sweep.all_ok,
-                "rate": _frac_dict(sweep.rate),
-                "first_failure": list(sweep.first_failure) if sweep.first_failure else None,
-                "stats": sweep.stats,
-            }
+        _write_json(
+            None,
+            "simulate",
+            demands_checked=sweep.demands_checked,
+            all_ok=sweep.all_ok,
+            rate=_frac_dict(sweep.rate),
+            first_failure=list(sweep.first_failure) if sweep.first_failure else None,
+            stats=sweep.stats,
         )
     else:
         verdict = "all byte-exact" if sweep.all_ok else f"FAILED at demand {sweep.first_failure}"
@@ -576,14 +567,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="emit a PDA from a named family", allow_abbrev=False)
-    p.add_argument("family", choices=["partition", "bipartite", "mn", "grouping"])
-    p.add_argument("--q", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--a", type=int)
-    p.add_argument("--b", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--t", type=int)
-    p.add_argument("--h", type=int)
+    p.add_argument("family", choices=list(_FAMILIES))
+    for flag in dict.fromkeys(n for _, names in _FAMILIES.values() for n in names):
+        p.add_argument("--" + flag, type=int)
     p.add_argument("-o", "--output", default=None, help="write the array here instead of stdout")
     p.set_defaults(handler=cmd_construct)
 
@@ -607,10 +593,8 @@ def _build_parser() -> argparse.ArgumentParser:
         " better of the identity and greedy orderings is reported with method"
         " branch_bound and exit code 3",
     )
-    p.add_argument("--q", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--a", type=int)
-    p.add_argument("--b", type=int)
+    for flag in dict.fromkeys(_FAMILIES["partition"][1] + _FAMILIES["bipartite"][1]):
+        p.add_argument("--" + flag, type=int)
     _add_format(p)
     p.set_defaults(handler=cmd_bound)
 

@@ -22,6 +22,16 @@ from typing import Dict, List, NamedTuple, Tuple
 from .core import MAX_ROWS, STAR, PdaGrid, PdaParams
 
 
+def _check_partition(q: int, m: int) -> None:
+    if q < 2 or m < 1:
+        raise ValueError(f"need q >= 2 and m >= 1, got q={q}, m={m}")
+
+
+def _check_bipartite(m: int, a: int, b: int) -> None:
+    if a < 1 or b < 1 or a + b > m:
+        raise ValueError(f"need a, b >= 1 and a+b <= m, got m={m}, a={a}, b={b}")
+
+
 def residue_q(x: int, q: int) -> int:
     """Least positive residue: x mod q, except multiples of q map to q."""
     if q <= 0:
@@ -64,8 +74,7 @@ def partition_residue_buckets(q: int, m: int) -> Dict[int, int]:
     Counted by dynamic programming over the m-1 tail coordinates (an empty
     tail sums to 0, i.e. residue q).  Total across residues is (q-1)^(m-1).
     """
-    if q < 2 or m < 1:
-        raise ValueError(f"need q >= 2 and m >= 1, got q={q}, m={m}")
+    _check_partition(q, m)
     counts = {v: 0 for v in range(1, q + 1)}
     counts[q] = 1
     for _ in range(m - 1):
@@ -88,8 +97,7 @@ def partition_pda(q: int, m: int) -> PdaGrid:
     exactly once per coordinate group -- m+1 occurrences in total.  Symbols
     are relabelled to dense ids by first appearance in row-major order.
     """
-    if q < 2 or m < 1:
-        raise ValueError(f"need q >= 2 and m >= 1, got q={q}, m={m}")
+    _check_partition(q, m)
     if q ** m > MAX_ROWS:
         raise ValueError(f"q^m = {q ** m} rows exceeds the row cap {MAX_ROWS}")
     rows = partition_rows(q, m)
@@ -114,6 +122,7 @@ class PartitionSpec(NamedTuple):
 
     def expected_params(self) -> PdaParams:
         q, m = self.q, self.m
+        _check_partition(q, m)
         return PdaParams(k=(m + 1) * q, f=q ** m, z=q ** (m - 1), s=(q - 1) * q ** m)
 
     def build(self) -> PdaGrid:
@@ -136,8 +145,7 @@ def bipartite_pda(m: int, a: int, b: int) -> PdaGrid:
     overlapping pairs are starred.  a+b = m is allowed and degenerates to a
     single symbol.
     """
-    if a < 1 or b < 1 or a + b > m:
-        raise ValueError(f"need a, b >= 1 and a+b <= m, got m={m}, a={a}, b={b}")
+    _check_bipartite(m, a, b)
     if comb(m, b) > MAX_ROWS:
         raise ValueError(f"C({m},{b}) rows exceeds the row cap {MAX_ROWS}")
     union_rank = {d: i + 1 for i, d in enumerate(subsets(m, a + b))}
@@ -189,6 +197,7 @@ class BipartiteSpec(NamedTuple):
 
     def expected_params(self) -> PdaParams:
         m, a, b, h = self.m, self.a, self.b, self.h
+        _check_bipartite(m, a, b)
         return PdaParams(
             k=h * comb(m, a),
             f=comb(m, b),

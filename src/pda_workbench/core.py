@@ -74,9 +74,6 @@ class PdaParams(namedtuple("PdaParams", "k f z s")):
         """Fraction of the library each user caches, Z/F, exact."""
         return Fraction(self.z, self.f)
 
-    def as_tuple(self) -> Tuple[int, int, int, int]:
-        return (self.k, self.f, self.z, self.s)
-
 
 class PdaGrid(namedtuple("PdaGrid", "cells")):
     """F x K array; cells[j][k] is STAR (0) or a positive symbol id.
@@ -390,31 +387,44 @@ def format_pda(grid: PdaGrid) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _read_table(text: str, magic: str) -> Tuple[int, int, List[List[str]]]:
+    """The checks both formats share: a "MAGIC F K" header with K >= 1 and
+    1 <= F <= MAX_ROWS, then F rows of K tokens.  Returns F, K and the rows'
+    tokens."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise MalformedGridError("empty input")
+    header = lines[0].split()
+    if len(header) != 3 or header[0] != magic:
+        raise MalformedGridError(f"bad header {lines[0]!r}; want '{magic} F K'")
+    try:
+        f, k = int(header[1]), int(header[2])
+    except ValueError:
+        raise MalformedGridError(f"bad header {lines[0]!r}; want '{magic} F K'") from None
+    if f < 1 or k < 1:
+        raise MalformedGridError(f"{magic} file must have at least one row and one column")
+    if f > MAX_ROWS:
+        raise MalformedGridError(f"F={f} exceeds the row cap {MAX_ROWS}")
+    if len(lines) - 1 != f:
+        raise MalformedGridError(f"header says F={f} but found {len(lines) - 1} rows")
+    rows = [line.split() for line in lines[1:]]
+    for j, tokens in enumerate(rows, start=1):
+        if len(tokens) != k:
+            raise MalformedGridError(
+                f"row {j}: header says K={k} but found {len(tokens)} tokens"
+            )
+    return f, k, rows
+
+
 def parse_pda(text: str) -> PdaGrid:
     """Parse the PDA text format; symbol ids are densified on ingest.
 
     Arbitrary positive ids are accepted and relabelled to 1..S preserving
     their numeric order, so files with gaps load as equivalent grids.
     """
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise MalformedGridError("empty input")
-    header = lines[0].split()
-    if len(header) != 3 or header[0] != "PDA":
-        raise MalformedGridError(f"bad header {lines[0]!r}; want 'PDA F K'")
-    try:
-        f, k = int(header[1]), int(header[2])
-    except ValueError:
-        raise MalformedGridError(f"bad header {lines[0]!r}; want 'PDA F K'") from None
-    if len(lines) - 1 != f:
-        raise MalformedGridError(f"header says F={f} but found {len(lines) - 1} rows")
+    _, _, table = _read_table(text, "PDA")
     rows: List[Tuple[int, ...]] = []
-    for j, line in enumerate(lines[1:], start=1):
-        tokens = line.split()
-        if len(tokens) != k:
-            raise MalformedGridError(
-                f"row {j}: header says K={k} but found {len(tokens)} tokens"
-            )
+    for j, tokens in enumerate(table, start=1):
         row = []
         for col, tok in enumerate(tokens, start=1):
             if tok == "*":
@@ -446,29 +456,9 @@ def format_placement(pattern: StarPattern) -> str:
 
 
 def parse_placement(text: str) -> StarPattern:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise MalformedGridError("empty input")
-    header = lines[0].split()
-    if len(header) != 3 or header[0] != "PLC":
-        raise MalformedGridError(f"bad header {lines[0]!r}; want 'PLC F K'")
-    try:
-        f, k = int(header[1]), int(header[2])
-    except ValueError:
-        raise MalformedGridError(f"bad header {lines[0]!r}; want 'PLC F K'") from None
-    if f < 1 or k < 1:
-        raise MalformedGridError("placement must have at least one row and one column")
-    if f > MAX_ROWS:
-        raise MalformedGridError(f"F={f} exceeds the row cap {MAX_ROWS}")
-    if len(lines) - 1 != f:
-        raise MalformedGridError(f"header says F={f} but found {len(lines) - 1} rows")
+    f, k, rows = _read_table(text, "PLC")
     masks = [0] * k
-    for j, line in enumerate(lines[1:], start=0):
-        tokens = line.split()
-        if len(tokens) != k:
-            raise MalformedGridError(
-                f"row {j + 1}: header says K={k} but found {len(tokens)} tokens"
-            )
+    for j, tokens in enumerate(rows):
         for col, tok in enumerate(tokens):
             if tok == ".":
                 masks[col] |= 1 << j

@@ -10,9 +10,13 @@ and the minimum symbol count is its chromatic number.
 neighbors first, and keeps the better (fast, no optimality claim).
 `fill_exact` starts from that coloring and finds the chromatic number by
 trying k = LB, LB+1, ... with a saturation-guided backtracking search.
-The lower bound is the larger of a greedy clique and the ordering bound on
-the same pattern — the bound that limits every array with this placement
-also limits every coloring, which is what lets the search start high and
+The lower bound LB is the ordering bound on the same pattern, and it is a
+clique bound: along any user ordering, the cells (j, i_h) with j in the
+running intersection I_h are pairwise in conflict (two of them share a row
+or a column, or the later one's row lies in I_h, so its cross cell in
+column i_h is uncached).  Each ordering's value is therefore the size of a
+clique, the truncated bound's fallback ordering included, and the best
+ordering is the largest such clique.  That lets the search start high and
 certify optimality early.
 """
 
@@ -136,21 +140,6 @@ class _OutOfNodes(Exception):
     pass
 
 
-def _greedy_clique(graph: ConflictGraph) -> int:
-    """Clique by greedy extension from each high-degree seed (a few tries)."""
-    if graph.n == 0:
-        return 0
-    best = 1
-    by_degree = sorted(range(graph.n), key=lambda v: -len(graph.adj[v]))
-    for seed in by_degree[: min(8, graph.n)]:
-        clique = [seed]
-        for v in by_degree:
-            if v != seed and all(v in graph.adj[u] for u in clique):
-                clique.append(v)
-        best = max(best, len(clique))
-    return best
-
-
 def _saturation_search(
     graph: ConflictGraph, k: int, budget: int
 ) -> Tuple[Optional[List[int]], int]:
@@ -211,22 +200,18 @@ def fill_exact(pattern: StarPattern, budget: int = DEFAULT_COLOR_BUDGET) -> Fill
     the starting upper bound.  Color counts are tried upward from the lower
     bound; the first feasible count is the chromatic number provided every
     smaller count was refuted within `budget` search nodes.  On budget
-    exhaustion the greedy grid comes back with optimal=False.
+    exhaustion the greedy grid comes back with optimal=False.  A negative
+    budget raises ValueError.
     """
+    if budget < 0:
+        raise ValueError(f"need a budget of at least 0 search nodes, got {budget}")
     graph = build_conflict_graph(pattern)
-    if graph.n == 0:
-        grid = PdaGrid(tuple(tuple([STAR] * pattern.k) for _ in range(pattern.f)))
-        return FillResult(grid=grid, colors=0, optimal=True, lower_bound=0)
-
-    # The ordering bound caps any array on this pattern, colorings included.
-    bound_cert = theorem1_exact(pattern, budget=_BOUND_BUDGET)
-    lb = max(_greedy_clique(graph), bound_cert.value, 1)
+    # A clique size, so it bounds every coloring (see the module docstring).
+    lb = theorem1_exact(pattern, budget=_BOUND_BUDGET).value
 
     greedy = _greedy_coloring(graph)
-    best_grid, best_colors = _grid_from_coloring(pattern, graph, greedy), max(greedy)
-
-    if best_colors == lb:
-        return FillResult(grid=best_grid, colors=lb, optimal=True, lower_bound=lb)
+    best_grid = _grid_from_coloring(pattern, graph, greedy)
+    best_colors = max(greedy, default=0)
 
     remaining = budget
     for k in range(lb, best_colors):

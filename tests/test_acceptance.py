@@ -88,7 +88,7 @@ def test_acceptance_1_golden_arrays_verify_with_stated_params():
     for name, (cells, params) in sorted(GOLDEN_PARAMS.items()):
         grid = golden_grid(name)
         assert verify_pda(grid).valid, name
-        assert pda_params(grid).as_tuple() == params, name
+        assert tuple(pda_params(grid)) == params, name
     assert len(GOLDEN_PARAMS) == 6
 
 
@@ -310,7 +310,7 @@ def test_acceptance_8_property_suites():
 def test_acceptance_9_displayed_low_rate_placement_is_reported_not_assumed():
     grid = golden_grid("GRID_K6_F8_Z5")
     assert verify_pda(grid).valid
-    assert pda_params(grid).as_tuple() == (6, 8, 5, 5)
+    assert tuple(pda_params(grid)) == (6, 8, 5, 5)
     cert = theorem1_exact(to_star_pattern(grid))
     assert cert.exact
     # Only the sandwich with the displayed S is asserted; the tighter

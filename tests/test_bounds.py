@@ -134,6 +134,14 @@ def test_budget_exhaustion_degrades_honestly():
     assert theorem1_exact(pat).value >= cert.value
 
 
+def test_negative_budget_is_rejected_and_zero_truncates():
+    pat = pattern_of("GRID_K6_F4_Z1")
+    with pytest.raises(ValueError, match="budget"):
+        theorem1_exact(pat, budget=-1)
+    cert = theorem1_exact(pat, budget=0)
+    assert not cert.exact and cert.method == "branch_bound"
+
+
 def test_budget_counts_distinct_intersections():
     # The exact search expands each distinct nonempty intersection of a
     # user subset once (the empty subset gives the full row set).

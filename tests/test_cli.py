@@ -249,6 +249,29 @@ def test_bound_ordered_shape_mismatch_is_usage(run):
     assert "needs 9x9" in err
 
 
+def test_bound_ordered_missing_flags_names_the_bound_command(run):
+    code, _, err = run(
+        ["bound", "--method", "ordered:partition"], stdin=grid_text("GRID_K6_F4_Z2")
+    )
+    assert code == EXIT_USAGE
+    assert err == "error: bound --method ordered:partition needs --q, --m\n"
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["ordered:partition", "--q", "0", "--m", "-1"], "need q >= 2 and m >= 1"),
+        (["ordered:bipartite", "--m", "2", "--a", "3", "--b", "1"], "need a, b >= 1"),
+    ],
+    ids=["partition-q-0", "bipartite-a-above-m"],
+)
+def test_bound_ordered_with_invalid_family_parameters_is_usage(run, argv, message):
+    code, out, err = run(["bound", "--method", *argv], stdin=grid_text("GRID_K6_F4_Z2"))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
 def test_bound_unknown_method_is_usage(run):
     code, _, err = run(
         ["bound", "--method", "psychic"], stdin=grid_text("GRID_K6_F4_Z2")
@@ -363,6 +386,21 @@ def test_out_of_range_arguments_are_usage_errors(run, argv, grid):
     assert code == EXIT_USAGE
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv,stdin",
+    [
+        (["bound", "--budget", "-3"], format_pda(mn_pda(4, 2))),
+        (["fill", "--budget", "-1"], format_placement(to_star_pattern(mn_pda(4, 2)))),
+    ],
+    ids=["bound", "fill"],
+)
+def test_negative_budgets_are_usage_errors(run, argv, stdin):
+    code, out, err = run(argv, stdin=stdin)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: need a budget of at least 0") and err.count("\n") == 1
 
 
 # -------------------------------------------------------------- simulate

@@ -99,7 +99,7 @@ def test_goldens_verify_clean():
     for name, (cells, params) in GOLDEN_PARAMS.items():
         res = verify_pda(cells)
         assert res.valid and res.violations == (), name
-        assert pda_params(PdaGrid(cells)).as_tuple() == params, name
+        assert tuple(pda_params(PdaGrid(cells))) == params, name
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +165,7 @@ def test_params_fractions_are_exact():
     p = pda_params(golden_grid("GRID_K4_F6_Z3"))
     assert (p.rate.numerator, p.rate.denominator) == (2, 3)
     assert (p.memory_ratio.numerator, p.memory_ratio.denominator) == (1, 2)
-    assert p.as_tuple() == (4, 6, 3, 4)
+    assert tuple(p) == (4, 6, 3, 4)
 
 
 @pytest.mark.parametrize(
@@ -334,6 +334,8 @@ def test_placement_text_round_trip():
         "PDA 2\n* *\n* *\n",
         "XYZ 1 1\n*\n",
         "PDA x 1\n*\n",
+        "PDA 0 1\n",  # no rows
+        pytest.param("PDA 4097 1\n" + "*\n" * 4097, id="PDA-past-the-row-cap"),
         "PDA 2 1\n*\n",  # row count mismatch
         "PDA 1 2\n*\n",  # token count mismatch
         "PDA 1 1\nzap\n",
@@ -351,6 +353,10 @@ def test_parse_pda_rejects_malformed_text(text):
     [
         "",
         "PDA 1 1\n*\n",  # wrong magic for a placement
+        "PLC 2\n. .\n. .\n",
+        "PLC x 1\n.\n",
+        "PLC 1 0\n.\n",  # no columns
+        pytest.param("PLC 4097 1\n" + ".\n" * 4097, id="PLC-past-the-row-cap"),
         "PLC 1 1\nx\n",
         "PLC 2 1\n*\n",
         "PLC 1 2\n*\n",

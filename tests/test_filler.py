@@ -1,6 +1,7 @@
 """Conflict-graph fill: edge structure, greedy vs exact coloring, and the
 optimality certificates on the worked arrays."""
 
+import itertools
 import random
 
 import pytest
@@ -232,6 +233,51 @@ def test_exact_fill_lower_bound_covers_the_ordering_bound():
         pattern = pattern_of(name)
         result = fill_exact(pattern)
         assert result.lower_bound >= theorem1_exact(pattern).value
+
+
+def test_ordering_witness_cells_form_a_clique():
+    # Along any ordering the cells (j, i_h) with j in the running
+    # intersection I_h pairwise conflict, so the ordering bound is the size
+    # of a clique and bounds the chromatic number.
+    rng = random.Random(93)
+    for _ in range(200):
+        pattern = random_pattern(rng)
+        cert = theorem1_exact(pattern)
+        graph = build_conflict_graph(pattern)
+        index = {cell: v for v, cell in enumerate(graph.vertices)}
+        clique, inter = [], (1 << pattern.f) - 1
+        for u in cert.witness:
+            inter &= pattern.masks[u - 1]
+            rows = [j for j in range(1, pattern.f + 1) if inter >> (j - 1) & 1]
+            clique += [index[(j, u)] for j in rows]
+        assert len(clique) == cert.value
+        assert all(b in graph.adj[a] for a, b in itertools.combinations(clique, 2))
+
+
+@pytest.mark.parametrize("uniform", [True, False], ids=["z-uniform", "non-uniform"])
+def test_exact_fill_lower_bound_is_the_ordering_bound(uniform):
+    rng = random.Random(94)
+    for _ in range(100):
+        if uniform:
+            f = rng.randint(2, 8)
+            z = rng.randint(0, f)
+            k = rng.randint(2, 6)
+            masks = [sum(1 << j for j in rng.sample(range(f), f - z)) for _ in range(k)]
+            pattern = StarPattern(f, masks)
+        else:
+            pattern = random_pattern(rng)
+        result = fill_exact(pattern, budget=2_000)
+        assert result.lower_bound == theorem1_exact(pattern).value
+
+
+def test_negative_budget_is_rejected_and_zero_refutes_nothing():
+    # The frozen case of the budget test below: greedy uses 4 symbols where
+    # 3 suffice.
+    pattern = StarPattern(8, (136, 132, 72, 3, 66))
+    with pytest.raises(ValueError, match="budget"):
+        fill_exact(pattern, budget=-1)
+    zero = fill_exact(pattern, budget=0)
+    assert (zero.colors, zero.optimal, zero.lower_bound) == (4, False, 3)
 
 
 def test_exact_fill_on_fully_cached_pattern():
