@@ -17,6 +17,15 @@ the payloads depend on the demand: delivery XORs each symbol's packets,
 and decoding XORs each signal with the cancellation terms taken from the
 user's own cache, both as one integer fold per signal or cell.
 
+Every packet of a library is converted to a little-endian integer once,
+memoised by library content like the schedule: one int per packet, for
+up to 8 libraries, which the memo also keeps alive.  Building it checks
+every packet's length, so a library with a wrong-length packet is refused
+on any delivery.  Delivery folds those ints.  Decoding uses a packet's int
+only when the cache entry is the library's own packet object, which is
+what `place` stores; any other entry is length-checked and converted from
+its own bytes, so a user still decodes from its cache alone.
+
 XOR over raw bytes stands in for the unspecified field: GF(2) suffices for
 one-shot decoding.  Payloads come from a seeded generator so transcripts
 are reproducible.
@@ -36,6 +45,7 @@ from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional
 from .core import STAR, PdaGrid, pda_params
 
 DEFAULT_PACKET_LEN = 64
+_MAX_PACKET_LEN = (1 << 28) - 1  # randbytes on Python 3.11 draws 8 * len bits via a C int
 
 Cache = Dict[Tuple[int, int], bytes]  # (file n, row j) -> packet
 Term = Tuple[int, int]  # (user k, row j) of one cell
@@ -83,6 +93,8 @@ class FileLibrary(NamedTuple):
     ) -> "FileLibrary":
         if n < 1 or f < 1 or packet_len < 1:
             raise ValueError("need n, f, packet_len >= 1")
+        if packet_len > _MAX_PACKET_LEN:
+            raise ValueError(f"packet_len must be at most {_MAX_PACKET_LEN}, got {packet_len}")
         rng = random.Random(seed)
         packets = tuple(
             tuple(rng.randbytes(packet_len) for _ in range(f))
@@ -158,6 +170,14 @@ def place(grid: PdaGrid, lib: FileLibrary) -> List[Cache]:
     return caches
 
 
+@lru_cache(maxsize=8)
+def _library_ints(lib: FileLibrary) -> Tuple[Tuple[int, ...], ...]:
+    """Every packet as a little-endian int, [file-1][row-1]; each packet's
+    length is checked once here."""
+    n = lib.packet_len
+    return tuple(tuple(_xor_fold((p,), n) for p in packets) for packets in lib.packets)
+
+
 class _Schedule(NamedTuple):
     """Everything delivery and decoding need of one array, whatever the demand."""
 
@@ -207,11 +227,14 @@ def deliver(grid: PdaGrid, lib: FileLibrary, d: Sequence[int]) -> DeliveryTransc
         raise ValueError(
             f"symbol {schedule.repeated} repeats a row or column; not a valid array"
         )
-    wanted = [lib.packets[n - 1] for n in d]  # wanted[k - 1][j - 1] is W_{d_k, j}
+    ints = _library_ints(lib)
+    wanted = [ints[n - 1] for n in d]  # wanted[k - 1][j - 1] is W_{d_k, j}
     n = lib.packet_len
     signals = []
     for s, terms in schedule.symbols:
-        payload = _xor_fold([wanted[k - 1][j - 1] for k, j in terms], n)
+        payload = 0
+        for k, j in terms:
+            payload ^= wanted[k - 1][j - 1]
         signals.append(Signal(id=s, terms=terms, payload=payload.to_bytes(n, "little")))
     return DeliveryTranscript(
         demand=d, signals=tuple(signals), decode_log=schedule.decode_log.copy()
@@ -242,27 +265,45 @@ def decode(
     """
     d = _check_demand(grid, lib, d)
     n = lib.packet_len
-    payload_of = {s.id: _xor_fold([s.payload], n) for s in transcript.signals}
+    ints = _library_ints(lib)
+    payload_of = {s.id: _xor_fold((s.payload,), n) for s in transcript.signals}
     files: List[bytes] = []
+    ok = True
     for k, rows in enumerate(_schedule(grid).rows, start=1):
         cache = caches[k - 1]
         want = d[k - 1]
+        own, own_ints = lib.packets[want - 1], ints[want - 1]
         parts: List[bytes] = []
+        exact = True  # every part equals the library's packet so far
         for j, entry in enumerate(rows, start=1):
             if entry is None:
-                parts.append(cache[(want, j)])
+                part = cache[(want, j)]
+                exact = exact and part == own[j - 1]
+                parts.append(part)
                 continue
             sid, others = entry
-            payload = payload_of[sid]
-            try:
-                terms = [cache[(d[k2 - 1], j2)] for k2, j2 in others]
-            except KeyError:
-                raise DecodeError(signal=sid, user=k, row=j) from None
-            parts.append((payload ^ _xor_fold(terms, n)).to_bytes(n, "little"))
+            value = payload_of[sid]
+            foreign = None  # cached terms that are not the library's own objects
+            for k2, j2 in others:
+                n2 = d[k2 - 1]
+                try:
+                    term = cache[(n2, j2)]
+                except KeyError:
+                    raise DecodeError(signal=sid, user=k, row=j) from None
+                if term is lib.packets[n2 - 1][j2 - 1]:
+                    value ^= ints[n2 - 1][j2 - 1]
+                elif foreign is None:
+                    foreign = [term]
+                else:
+                    foreign.append(term)
+            if foreign is not None:
+                value ^= _xor_fold(foreign, n)
+            exact = exact and value == own_ints[j - 1]
+            parts.append(value.to_bytes(n, "little"))
         files.append(b"".join(parts))
-    ok = all(
-        files[k - 1] == lib.file_bytes(d[k - 1]) for k in range(1, grid.k + 1)
-    )
+        # Parts that all match prove the file; otherwise compare the bytes,
+        # since cached parts of other lengths may still join to the file.
+        ok = ok and (exact or files[-1] == lib.file_bytes(want))
     return DecodeResult(files=tuple(files), ok=ok, log=dict(transcript.decode_log))
 
 

@@ -1,10 +1,13 @@
 """Command-line surface: argument handling, text and JSON output, exit
 codes, and the pipes between subcommands."""
 
+import ast
 import contextlib
 import io
+import itertools
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -14,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import SIGNAL_TERMS_K6_F4_Z2, golden_grid
-from pda_workbench.cli import EXIT_BUDGET, EXIT_INVALID, EXIT_OK, EXIT_USAGE, main
+from pda_workbench.cli import _FAMILIES, EXIT_BUDGET, EXIT_INVALID, EXIT_OK, EXIT_USAGE, main
 from pda_workbench.constructions import bipartite_pda, mn_pda, partition_pda
 from pda_workbench.core import (
     StarPattern,
@@ -386,6 +389,21 @@ def test_out_of_range_arguments_are_usage_errors(run, argv, grid):
     assert code == EXIT_USAGE
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("packet_len", [1 << 28, 10**11])
+def test_simulate_refuses_a_packet_length_it_cannot_draw(run, monkeypatch, packet_len):
+    def no_draw(self, n):
+        raise AssertionError(f"drew {n} bytes")
+
+    monkeypatch.setattr(random.Random, "randbytes", no_draw)
+    code, out, err = run(
+        ["simulate", "--files", "2", "--packet-len", str(packet_len), "--sweep"],
+        stdin=format_pda(mn_pda(4, 2)),
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == f"error: packet_len must be at most {(1 << 28) - 1}, got {packet_len}\n"
 
 
 @pytest.mark.parametrize(
@@ -872,6 +890,37 @@ def test_fuzzed_command_lines_end_in_a_documented_exit_code(data):
     assert code in (EXIT_OK, EXIT_INVALID, EXIT_USAGE, EXIT_BUDGET), argv
 
 
+# Every family command over every combination of its integer flags in
+# -1..2, with stdin an array of the family's own shape where one is needed,
+# so that flag pairs the fuzz above may never draw all run.
+FAMILY_GRID = [
+    (["construct", family], names, None) for family, (_, names) in sorted(_FAMILIES.items())
+] + [
+    (["bound", "--method", "ordered:partition"], ("q", "m"), partition_pda(2, 2)),
+    (["bound", "--method", "ordered:bipartite"], ("m", "a", "b"), bipartite_pda(2, 1, 1)),
+    (["table"], ("q-list", "m-max", "exact-cap"), None),
+]
+
+
+@pytest.mark.parametrize(
+    "leading,names,grid", FAMILY_GRID, ids=[" ".join(g[0]) for g in FAMILY_GRID]
+)
+def test_every_small_family_flag_combination_ends_in_a_documented_exit_code(
+    leading, names, grid
+):
+    stdin = "" if grid is None else format_pda(grid)
+    for values in itertools.product(range(-1, 3), repeat=len(names)):
+        argv = leading + [
+            token for name, v in zip(names, values) for token in ("--" + name, str(v))
+        ]
+        err = io.StringIO()
+        with mock.patch.object(sys, "stdin", io.StringIO(stdin)), \
+                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (EXIT_OK, EXIT_INVALID, EXIT_USAGE, EXIT_BUDGET), argv
+        assert "Traceback" not in err.getvalue(), argv
+
+
 # ------------------------------------------------------------- start-up
 
 
@@ -889,3 +938,58 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     loaded = set(proc.stdout.split())
     assert "pda_workbench.cli" in loaded
     assert not loaded & {"dataclasses", "inspect"}
+
+
+# The modules that src/pda_workbench/*.py import at module level (not inside
+# a function), as `import x` names x and `from x import y` names x.  Every
+# CLI process pays for these, so a new one must show up here as a deliberate
+# change; an import inside the one command that needs it stays free.
+MODULE_LEVEL_IMPORTS = {
+    "__future__", "argparse", "collections", "csv", "fractions", "functools", "io",
+    "itertools", "json", "math", "os", "random", "sys", "time", "types", "typing",
+    "pda_workbench.bounds", "pda_workbench.constructions", "pda_workbench.core",
+    "pda_workbench.filler", "pda_workbench.formulas", "pda_workbench.simulate",
+}
+
+
+def module_level_imports(tree):
+    found = set()
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if not node.level:
+                found.add(node.module)
+            elif node.module:
+                found.add("pda_workbench." + node.module)
+            else:  # from . import x
+                found.update("pda_workbench." + alias.name for alias in node.names)
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_module_level_imports_stay_within_the_known_set():
+    package = os.path.dirname(main.__code__.co_filename)
+    found = set()
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name)) as fh:
+                found |= module_level_imports(ast.parse(fh.read()))
+    assert "pda_workbench.core" in found  # the walk sees the package's own imports
+    assert found <= MODULE_LEVEL_IMPORTS, sorted(found - MODULE_LEVEL_IMPORTS)
+
+
+def test_the_import_walk_skips_function_bodies():
+    tree = ast.parse(
+        "import os\nfrom . import core\nfrom .bounds import x\n"
+        "if True:\n    import json\n"
+        "class C:\n    import csv\n"
+        "def f():\n    import dataclasses\n    from inspect import signature\n"
+    )
+    assert module_level_imports(tree) == {
+        "os", "pda_workbench.core", "pda_workbench.bounds", "json", "csv"
+    }

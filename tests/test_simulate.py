@@ -49,6 +49,20 @@ def test_library_rejects_degenerate_shapes():
             FileLibrary.generate(*bad)
 
 
+@pytest.mark.parametrize("packet_len", [1 << 28, 10**11])
+def test_library_refuses_packet_lengths_randbytes_cannot_draw(monkeypatch, packet_len):
+    # randbytes draws 8 * len bits into a C int; the length is refused
+    # before any packet is drawn, so nothing this large is allocated.
+    def no_draw(self, n):
+        raise AssertionError(f"drew {n} bytes")
+
+    monkeypatch.setattr(random.Random, "randbytes", no_draw)
+    with pytest.raises(ValueError, match=f"packet_len must be at most {(1 << 28) - 1}"):
+        FileLibrary.generate(1, 1, packet_len=packet_len)
+    with pytest.raises(AssertionError, match=f"drew {(1 << 28) - 1} bytes"):
+        FileLibrary.generate(1, 1, packet_len=(1 << 28) - 1)  # the largest is drawn
+
+
 def test_placement_caches_exactly_the_starred_rows():
     grid = golden_grid("GRID_K6_F4_Z2")
     lib = FileLibrary.generate(3, 4, packet_len=16, seed=2)
@@ -272,6 +286,66 @@ def test_delivery_and_decode_match_the_bytewise_reference(grid):
         res = decode(grid, t, caches, d, lib)
         assert res.files == files == tuple(lib.file_bytes(n) for n in d)
         assert res.ok and res.log == log
+
+
+def cancellation_cells(grid):
+    """(user k, row j, the other cells of its symbol) for every symbol cell,
+    read straight off the cells."""
+    cells = {}
+    for j in range(1, grid.f + 1):
+        for k in range(1, grid.k + 1):
+            if grid.cells[j - 1][k - 1] != STAR:
+                cells.setdefault(grid.cells[j - 1][k - 1], []).append((k, j))
+    return [
+        (k, j, [c for c in cs if c != (k, j)]) for cs in cells.values() for k, j in cs
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_PARAMS))
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_integer_path_matches_bytes_and_reads_only_the_cache(name, seed):
+    grid = golden_grid(name)
+    rng = random.Random(seed)
+    lib = FileLibrary.generate(3, grid.f, packet_len=rng.choice([1, 5, 16]), seed=seed)
+    d = tuple(rng.randint(1, 3) for _ in range(grid.k))
+    t = deliver(grid, lib, d)
+    for sig in t.signals:
+        assert sig.payload == xor([lib.packet(d[k - 1], j) for k, j in sig.terms])
+    files = tuple(lib.file_bytes(n) for n in d)
+    res = decode(grid, t, place(grid, lib), d, lib)
+    assert res.ok and res.files == files
+
+    def swapped(k, key):
+        """Decode with user k's entry `key` replaced by other bytes of its length."""
+        caches = place(grid, lib)
+        caches[k - 1][key] = bytes(b ^ 0xFF for b in caches[k - 1][key])
+        return decode(grid, t, caches, d, lib)
+
+    cells = cancellation_cells(grid)
+    cancelled = {  # the cache entries each user cancels out of its signals
+        (k, d[k2 - 1], j2) for k, _, others in cells for k2, j2 in others
+    }
+    k, j = rng.choice([  # a cached row of user k's own file, and nothing else
+        (k, j) for k in range(1, grid.k + 1) for j in range(1, grid.f + 1)
+        if grid.cells[j - 1][k - 1] == STAR and (k, d[k - 1], j) not in cancelled
+    ])
+    res = swapped(k, (d[k - 1], j))
+    assert not res.ok and res.files[k - 1] != files[k - 1]
+    assert res.files[:k - 1] + res.files[k:] == files[:k - 1] + files[k:]
+    k, j, k2, j2 = rng.choice([  # a term user k cancels, not of its own file
+        (k, j, k2, j2) for k, j, others in cells for k2, j2 in others if d[k2 - 1] != d[k - 1]
+    ])
+    res = swapped(k, (d[k2 - 1], j2))
+    assert not res.ok and res.files[k - 1] != files[k - 1]
+    assert res.files[:k - 1] + res.files[k:] == files[:k - 1] + files[k:]
+
+    caches = place(grid, lib)
+    for cache in caches:
+        for key, packet in cache.items():
+            cache[key] = bytes(bytearray(packet))  # equal bytes, a new object
+            assert cache[key] is not packet
+    res = decode(grid, t, caches, d, lib)
+    assert res.ok and res.files == files
 
 
 def test_transcripts_share_no_state_through_the_memo():
