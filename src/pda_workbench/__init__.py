@@ -7,7 +7,7 @@ Import each name from the module that defines it:
 * constructions: partition_pda, bipartite_pda, mn_pda, grouping_pda
 * bounds:        eval_ordering, theorem1_exact/greedy, theorem3_search,
                  the families' prescribed orderings
-* formulas:      the closed forms with their built-in oracles
+* formulas:      the closed forms `table` reports
 * simulate:      FileLibrary, place/deliver/decode, demand sweeps
 * filler:        conflict-graph coloring (fill_greedy, fill_exact)
 * cli:           the pda-workbench command

@@ -268,31 +268,6 @@ def theorem1_exact(
     return cert._replace(method="exact", exact=True)
 
 
-def corollary1_value(pattern: StarPattern, order: Sequence[int]) -> int:
-    """Running-union sum over the complements, for a full ordering.
-
-    Returns sum_h |union_{j<=h} complement(A_{i_j})| and checks it against
-    the intersection sum: the two must satisfy
-
-        sum_h |I_h|  =  K*F - sum_h |U_h|
-
-    because each prefix obeys |I_h| = F - |U_h|.
-    """
-    order = _check_order(pattern, order)
-    if len(order) != pattern.k:
-        raise ValueError("need a full-length ordering")
-    full = (1 << pattern.f) - 1
-    union = 0
-    union_sum = 0
-    for u in order:
-        union |= full & ~pattern.masks[u - 1]
-        union_sum += union.bit_count()
-    inter_sum = eval_ordering(pattern, order).value
-    if inter_sum != pattern.k * pattern.f - union_sum:
-        raise AssertionError("prefix De Morgan identity failed")
-    return union_sum
-
-
 # ---------------------------------------------------------------------------
 # Prescribed orderings for the two construction families
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Command-line surface: construct, verify, bound, search, simulate, fill,
-table, formulas.
+table.
 
 Conventions shared by every subcommand:
 
@@ -59,17 +59,7 @@ from .core import (
     verify_pda,
 )
 from .filler import DEFAULT_COLOR_BUDGET, fill_exact, fill_greedy
-from .formulas import (
-    binomial_identity_check,
-    formula_ratio,
-    geometric_sum,
-    lemma3_intersection,
-    partition_bound_closed,
-    partition_bound_printed_odd,
-    partition_counts,
-    phi,
-    ratio_report,
-)
+from .formulas import ratio_report
 from .simulate import (
     DEFAULT_PACKET_LEN,
     DecodeError,
@@ -461,96 +451,6 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# formulas
-# ---------------------------------------------------------------------------
-
-def cmd_formulas(args: argparse.Namespace) -> int:
-    failures = 0
-
-    def check(label: str, fn) -> None:
-        nonlocal failures
-        try:
-            detail = fn()
-        except (AssertionError, ValueError) as e:
-            failures += 1
-            print(f"FAIL {label}: {e}")
-        else:
-            print(f"ok   {label}" + (f" ({detail})" if detail else ""))
-
-    def run_phi():
-        cases = 0
-        for q in range(3, 65):
-            prev = None
-            for z in range(2, q + 1):
-                value = phi(q, z)
-                assert value < 1, f"phi({q},{z}) = {value} >= 1"
-                if prev is not None:
-                    assert value <= prev, f"phi not monotone at ({q},{z})"
-                prev = value
-                cases += 1
-        return f"{cases} cases, q in [3,64]"
-
-    def run_counts():
-        cases = 0
-        for q in range(2, 7):
-            for m in range(1, 9):
-                partition_counts(q, m)
-                cases += 1
-        return f"{cases} (q,m) grids, enumeration vs two-size law"
-
-    def run_lemma3():
-        from itertools import combinations as combos, product as prod
-
-        cases = 0
-        for q in range(2, 5):
-            for m in range(2, 4):
-                for tail in prod(range(1, q), repeat=m - 1):
-                    for l in range(1, q):
-                        for rs in combos(range(1, q + 1), l):
-                            lemma3_intersection(q, m, l, rs, tail)
-                            cases += 1
-        return f"{cases} fiber checks"
-
-    def run_geometric():
-        for q in range(2, 11):
-            for m in range(1, 13):
-                geometric_sum(q, m)
-        return "q in [2,10], m in [1,12]"
-
-    def run_binomial():
-        cases = 0
-        for m in range(3, 17):
-            for a in range(1, m):
-                for b in range(1, m - a):
-                    binomial_identity_check(m, a, b)
-                    cases += 1
-        return f"{cases} (m,a,b) triples, m <= 16"
-
-    def run_bounds():
-        assert partition_bound_closed(3, 2) == 15
-        assert partition_bound_closed(3, 3) == 47
-        for m in range(2, 7):
-            assert partition_bound_closed(2, m) == 2 ** m
-        return "(3,2)=15, (3,3)=47, q=2 column = 2^m"
-
-    check("shrink factor below 1 and monotone", run_phi)
-    check("residue class sizes", run_counts)
-    check("fiber intersection closed form", run_lemma3)
-    check("geometric identity", run_geometric)
-    check("stage-sum identity", run_binomial)
-    check("ordering bound values", run_bounds)
-
-    printed = partition_bound_printed_odd(3, 3)
-    oracle = partition_bound_closed(3, 3)
-    print(
-        f"note: odd-m printed constant gives {printed} = {float(printed):.3f} at "
-        f"(q=3, m=3); the ordering oracle gives {oracle}. The printed form is "
-        "non-integral, so it is reported but never asserted."
-    )
-    return EXIT_OK if failures == 0 else EXIT_INVALID
-
-
-# ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
 
@@ -640,9 +540,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exact-cap", type=int, default=16, help="run the exact engine up to this many users")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(handler=cmd_table)
-
-    p = sub.add_parser("formulas", help="run the closed-form self-checks", allow_abbrev=False)
-    p.set_defaults(handler=cmd_formulas)
 
     return parser
 

@@ -27,9 +27,25 @@ def _check_partition(q: int, m: int) -> None:
         raise ValueError(f"need q >= 2 and m >= 1, got q={q}, m={m}")
 
 
+def _check_partition_rows(q: int, m: int) -> None:
+    """Refuse q^m rows past the cap; as q^m >= 2^m, a long m is refused
+    before the power is taken."""
+    _check_partition(q, m)
+    if m >= MAX_ROWS.bit_length() or q ** m > MAX_ROWS:
+        raise ValueError(f"q^m rows at q={q}, m={m} exceed the row cap {MAX_ROWS}")
+
+
 def _check_bipartite(m: int, a: int, b: int) -> None:
     if a < 1 or b < 1 or a + b > m:
         raise ValueError(f"need a, b >= 1 and a+b <= m, got m={m}, a={a}, b={b}")
+
+
+def _check_bipartite_rows(m: int, a: int, b: int) -> None:
+    """Refuse C(m, b) rows past the cap; as C(m, b) >= m, a large m is
+    refused before the binomial is taken."""
+    _check_bipartite(m, a, b)
+    if m > MAX_ROWS or comb(m, b) > MAX_ROWS:
+        raise ValueError(f"C({m},{b}) rows exceed the row cap {MAX_ROWS}")
 
 
 def residue_q(x: int, q: int) -> int:
@@ -97,9 +113,7 @@ def partition_pda(q: int, m: int) -> PdaGrid:
     exactly once per coordinate group -- m+1 occurrences in total.  Symbols
     are relabelled to dense ids by first appearance in row-major order.
     """
-    _check_partition(q, m)
-    if q ** m > MAX_ROWS:
-        raise ValueError(f"q^m = {q ** m} rows exceeds the row cap {MAX_ROWS}")
+    _check_partition_rows(q, m)
     rows = partition_rows(q, m)
     cols = partition_columns(q, m)
     ids: Dict[Tuple[int, ...], int] = {}
@@ -122,7 +136,7 @@ class PartitionSpec(NamedTuple):
 
     def expected_params(self) -> PdaParams:
         q, m = self.q, self.m
-        _check_partition(q, m)
+        _check_partition_rows(q, m)
         return PdaParams(k=(m + 1) * q, f=q ** m, z=q ** (m - 1), s=(q - 1) * q ** m)
 
     def build(self) -> PdaGrid:
@@ -145,9 +159,7 @@ def bipartite_pda(m: int, a: int, b: int) -> PdaGrid:
     overlapping pairs are starred.  a+b = m is allowed and degenerates to a
     single symbol.
     """
-    _check_bipartite(m, a, b)
-    if comb(m, b) > MAX_ROWS:
-        raise ValueError(f"C({m},{b}) rows exceeds the row cap {MAX_ROWS}")
+    _check_bipartite_rows(m, a, b)
     union_rank = {d: i + 1 for i, d in enumerate(subsets(m, a + b))}
     cols = subsets(m, a)
     cells = []
@@ -197,7 +209,7 @@ class BipartiteSpec(NamedTuple):
 
     def expected_params(self) -> PdaParams:
         m, a, b, h = self.m, self.a, self.b, self.h
-        _check_bipartite(m, a, b)
+        _check_bipartite_rows(m, a, b)
         return PdaParams(
             k=h * comb(m, a),
             f=comb(m, b),

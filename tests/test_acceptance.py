@@ -18,10 +18,17 @@ from conftest import (
 )
 from test_core import oracle_broken_axioms
 from test_bounds import brute_force_max
+from test_formulas import (
+    fiber_closed_form,
+    fiber_survivors_from_construction,
+    phi,
+    stage_sum,
+    two_size_law,
+    union_sum,
+)
 
 from pda_workbench.bounds import (
     bipartite_ordering,
-    corollary1_value,
     eval_ordering,
     partition_ordering,
     theorem1_exact,
@@ -33,6 +40,7 @@ from pda_workbench.constructions import (
     grouping_pda,
     mn_pda,
     partition_pda,
+    partition_residue_buckets,
 )
 from pda_workbench.core import (
     STAR,
@@ -42,14 +50,7 @@ from pda_workbench.core import (
     verify_pda,
 )
 from pda_workbench.filler import fill_exact, fill_greedy
-from pda_workbench.formulas import (
-    binomial_identity_check,
-    lemma3_intersection,
-    partition_bound_closed,
-    partition_counts,
-    phi,
-    ratio_report,
-)
+from pda_workbench.formulas import partition_bound_closed, ratio_report
 from pda_workbench.simulate import FileLibrary, all_demands, decode, deliver, place, run_sweep
 
 
@@ -154,7 +155,7 @@ def test_acceptance_6_bipartite_bound_is_tight_and_identity_holds():
     for m in range(3, 17):
         for a in range(1, m):
             for b in range(1, m - a):
-                binomial_identity_check(m, a, b)
+                assert stage_sum(m, a, b) == comb(m, a + b), (m, a, b)
                 triples += 1
     assert triples == 560
 
@@ -225,9 +226,8 @@ def test_acceptance_8_property_suites():
             f, tuple(rng.randint(0, (1 << f) - 1) for _ in range(k))
         )
         order = tuple(rng.sample(range(1, k + 1), k))
-        union_sum = corollary1_value(pattern, order)
         inter_sum = eval_ordering(pattern, order).value
-        assert union_sum + inter_sum == k * f
+        assert union_sum(pattern, order) + inter_sum == k * f
         cases += 1
     assert cases >= 100
 
@@ -247,22 +247,22 @@ def test_acceptance_8_property_suites():
             for tail in itertools.product(range(1, q), repeat=m - 1):
                 r = sum(tail) % q
                 brute[r if r else q] += 1
-            counts = partition_counts(q, m)
+            counts = partition_residue_buckets(q, m)
             for v in range(1, q + 1):
-                assert counts.c_sizes[v] == brute[v], (q, m, v)
+                assert counts[v] == brute[v], (q, m, v)
                 cases += 1
+            if m > 1:
+                assert sorted(counts.values()) == two_size_law(q, m), (q, m)
     assert cases >= 100
 
     # (f) fiber intersection cardinalities against the real row lists
-    from test_formulas import fiber_survivors_from_construction
-
     cases = 0
     for q in range(2, 6):
         for m in range(2, 5):
             for tail in itertools.product(range(1, q), repeat=m - 1):
                 for l in range(1, q):
                     for residues in itertools.combinations(range(1, q + 1), l):
-                        got = lemma3_intersection(q, m, l, residues, tail)
+                        got = fiber_closed_form(q, residues, tail)
                         want = fiber_survivors_from_construction(
                             q, m, residues, tail
                         )

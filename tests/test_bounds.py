@@ -10,10 +10,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import golden_grid
+from test_formulas import union_sum
 from pda_workbench.bounds import (
     BoundCertificate,
     bipartite_ordering,
-    corollary1_value,
     eval_ordering,
     partition_ordering,
     theorem1_exact,
@@ -223,13 +223,8 @@ def test_bad_orderings_rejected():
 
 
 def test_union_sum_on_reference_placements():
-    assert corollary1_value(pattern_of("GRID_K4_F6_Z3"), (1, 2, 3, 4)) == 20
-    assert corollary1_value(pattern_of("GRID_K6_F4_Z1"), (1, 5, 2, 6, 3, 4)) == 13
-
-
-def test_union_sum_requires_full_ordering():
-    with pytest.raises(ValueError, match="full-length"):
-        corollary1_value(pattern_of("GRID_K4_F6_Z3"), (1, 2))
+    assert union_sum(pattern_of("GRID_K4_F6_Z3"), (1, 2, 3, 4)) == 20
+    assert union_sum(pattern_of("GRID_K6_F4_Z1"), (1, 5, 2, 6, 3, 4)) == 13
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
@@ -241,8 +236,7 @@ def test_union_and_intersection_sums_are_complementary(data):
         f, tuple(data.draw(st.integers(0, (1 << f) - 1)) for _ in range(k))
     )
     order = tuple(data.draw(st.permutations(list(range(1, k + 1)))))
-    union_sum = corollary1_value(pat, order)
-    assert eval_ordering(pat, order).value == k * f - union_sum
+    assert eval_ordering(pat, order).value == k * f - union_sum(pat, order)
 
 
 # ---------------------------------------------------------------------------

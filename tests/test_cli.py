@@ -11,6 +11,7 @@ import random
 import shutil
 import subprocess
 import sys
+import time
 from unittest import mock
 
 import pytest
@@ -273,6 +274,36 @@ def test_bound_ordered_with_invalid_family_parameters_is_usage(run, argv, messag
     assert code == EXIT_USAGE
     assert out == ""
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["construct", "partition", "--q", "10", "--m", "5000"], "q^m rows at q=10, m=5000"),
+        (
+            ["construct", "bipartite", "--m", "2000000", "--a", "1", "--b", "1000000"],
+            "C(2000000,1000000) rows",
+        ),
+        (
+            ["bound", "--method", "ordered:partition", "--q", "2", "--m", "30000000"],
+            "q^m rows at q=2, m=30000000",
+        ),
+        (
+            ["bound", "--method", "ordered:bipartite", "--m", "2000000", "--a", "1",
+             "--b", "1000000"],
+            "C(2000000,1000000) rows",
+        ),
+    ],
+    ids=["construct-partition", "construct-bipartite", "bound-partition", "bound-bipartite"],
+)
+def test_family_shapes_past_the_row_cap_are_refused_at_once(run, argv, message):
+    # Refused before q^m or C(m, b) is taken: q^m past 4300 digits cannot
+    # even be formatted, and C(2000000, 1000000) takes tens of seconds.
+    start = time.perf_counter()
+    code, out, err = run(argv, stdin=grid_text("GRID_K6_F4_Z2"))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"error: {message} exceed the row cap 4096\n"
 
 
 def test_bound_unknown_method_is_usage(run):
@@ -724,18 +755,6 @@ def test_table_writes_to_a_file(run, tmp_path):
     assert target.read_text().startswith("q,m,s_pda,")
 
 
-# -------------------------------------------------------------- formulas
-
-
-def test_formulas_self_checks_pass(run):
-    code, out, _ = run(["formulas"])
-    assert code == EXIT_OK
-    lines = out.splitlines()
-    assert sum(1 for line in lines if line.startswith("ok   ")) == 6
-    assert not any(line.startswith("FAIL") for line in lines)
-    assert any("never asserted" in line for line in lines)
-
-
 # ------------------------------------------------------------ interpreter
 
 
@@ -759,7 +778,9 @@ def test_console_script_is_installed():
     exe = shutil.which("pda-workbench")
     if exe is None:
         pytest.skip("console script not on PATH in this environment")
-    proc = subprocess.run([exe, "formulas"], capture_output=True, text=True)
+    proc = subprocess.run(
+        [exe, "table", "--q-list", "2", "--m-max", "2"], capture_output=True, text=True
+    )
     assert proc.returncode == 0
 
 
@@ -768,9 +789,9 @@ def test_console_script_is_installed():
     [
         ["construct", "mn", "--k", "4", "--t", "2"],
         ["search", "--k", "4", "--f", "6", "--z", "3"],
-        ["formulas"],
+        ["table", "--q-list", "2", "--m-max", "2"],
     ],
-    ids=["construct", "search", "formulas"],
+    ids=["construct", "search", "table"],
 )
 def test_closed_stdout_exits_two_without_a_traceback(argv):
     # The read end is closed before the child starts, so its first flush
@@ -787,6 +808,18 @@ def test_closed_stdout_exits_two_without_a_traceback(argv):
     assert proc.returncode == EXIT_USAGE
     assert "Traceback" not in proc.stderr
     assert "Exception ignored" not in proc.stderr
+
+
+def test_formulas_is_no_longer_a_command():
+    # The paper's closed-form self-checks live in tests/test_formulas.py.
+    cli = [sys.executable, "-m", "pda_workbench.cli"]
+    listed = subprocess.run(cli + ["--help"], capture_output=True, text=True)
+    assert listed.returncode == EXIT_OK
+    assert "formulas" not in listed.stdout
+    proc = subprocess.run(cli + ["formulas"], capture_output=True, text=True)
+    assert proc.returncode == EXIT_USAGE
+    assert "invalid choice: 'formulas'" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 # ------------------------------------------------------------------ fuzz
@@ -865,7 +898,6 @@ FUZZ_COMMANDS = {
             "-o": UNWRITABLE,
         },
     ),
-    "formulas": ([], {}),
 }
 
 
@@ -972,13 +1004,21 @@ def module_level_imports(tree):
     return found
 
 
-def test_module_level_imports_stay_within_the_known_set():
+def package_sources():
+    """File name -> source text for every module of the package."""
     package = os.path.dirname(main.__code__.co_filename)
-    found = set()
+    sources = {}
     for name in sorted(os.listdir(package)):
         if name.endswith(".py"):
             with open(os.path.join(package, name)) as fh:
-                found |= module_level_imports(ast.parse(fh.read()))
+                sources[name] = fh.read()
+    return sources
+
+
+def test_module_level_imports_stay_within_the_known_set():
+    found = set()
+    for text in package_sources().values():
+        found |= module_level_imports(ast.parse(text))
     assert "pda_workbench.core" in found  # the walk sees the package's own imports
     assert found <= MODULE_LEVEL_IMPORTS, sorted(found - MODULE_LEVEL_IMPORTS)
 
@@ -993,3 +1033,52 @@ def test_the_import_walk_skips_function_bodies():
     assert module_level_imports(tree) == {
         "os", "pda_workbench.core", "pda_workbench.bounds", "json", "csv"
     }
+
+
+def unreferenced_public_names(sources):
+    """(file, name) for each public top-level def or class in `sources`
+    (file name -> source text) that no other top-level statement of any of
+    them names, as a name, an attribute or an imported alias."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    statements = [statement for tree in trees.values() for statement in tree.body]
+    named = [
+        {
+            node.id if isinstance(node, ast.Name)
+            else node.attr if isinstance(node, ast.Attribute) else node.name
+            for node in ast.walk(statement)
+            if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+        }
+        for statement in statements
+    ]
+    return sorted(
+        (file, definition.name)
+        for file, tree in trees.items()
+        for definition in tree.body
+        if isinstance(definition, (ast.FunctionDef, ast.ClassDef))
+        and not definition.name.startswith("_")
+        and not any(
+            definition.name in names
+            for statement, names in zip(statements, named)
+            if statement is not definition
+        )
+    )
+
+
+def test_every_public_name_has_a_caller_in_the_package():
+    # A public name that nothing in the package uses is product surface
+    # kept alive only by its tests.
+    sources = package_sources()
+    assert "cli.py" in sources
+    assert unreferenced_public_names(sources) == []
+
+
+def test_the_caller_walk_ignores_a_definition_naming_itself():
+    sources = {
+        "a.py": "def imported(): pass\n"
+        "def called_as_attribute(): pass\n"
+        "def recursive():\n    return recursive()\n"
+        "class Lone:\n    pass\n"
+        "def _private(): pass\n",
+        "b.py": "from a import imported\nimport a\nvalue = a.called_as_attribute()\n",
+    }
+    assert unreferenced_public_names(sources) == [("a.py", "Lone"), ("a.py", "recursive")]

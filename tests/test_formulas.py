@@ -1,7 +1,8 @@
 """Closed forms against independent enumerations.
 
-The oracles here never call the helper under test: residue classes are
-recounted with itertools.product, fibers are rebuilt from the actual
+The paper's proof arithmetic is stated here in its shortest form, next to
+an oracle that never calls it: residue classes are counted by the
+construction's own bucketing, fibers are rebuilt from the actual
 construction rows, and the bound constants are compared against the
 prescribed-ordering evaluation on real patterns.
 """
@@ -14,25 +15,28 @@ import pytest
 
 from pda_workbench import formulas
 from pda_workbench.bounds import eval_ordering, partition_ordering
-from pda_workbench.constructions import partition_pda, partition_rows, residue_q
+from pda_workbench.constructions import (
+    partition_pda,
+    partition_residue_buckets,
+    partition_rows,
+    residue_q,
+)
 from pda_workbench.core import to_star_pattern
 from pda_workbench.formulas import (
-    PartitionCounts,
     RatioReport,
-    binomial_identity_check,
     formula_ratio,
-    geometric_sum,
-    lemma3_intersection,
     partition_bound_closed,
-    partition_bound_printed_odd,
-    partition_counts,
-    phi,
     ratio_report,
 )
 
 # ---------------------------------------------------------------------------
 # shrink factor
 # ---------------------------------------------------------------------------
+
+
+def phi(q, z):
+    """(q-z) q^(z-1) / (q-1)^z, the step-z shrink factor of the bound sum."""
+    return Fraction((q - z) * q ** (z - 1), (q - 1) ** z)
 
 
 def test_phi_spot_values():
@@ -51,55 +55,40 @@ def test_phi_starts_at_one_then_strictly_shrinks(q):
     assert values[-1] == 0
 
 
-def test_phi_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        phi(1, 1)
-    with pytest.raises(ValueError):
-        phi(3, 0)
-    with pytest.raises(ValueError):
-        phi(3, 4)
-
-
 # ---------------------------------------------------------------------------
 # residue-class sizes
 # ---------------------------------------------------------------------------
 
 
-def brute_residue_classes(q, m):
-    counts = {v: 0 for v in range(1, q + 1)}
-    for tail in itertools.product(range(1, q), repeat=m - 1):
-        counts[residue_q(sum(tail), q)] += 1
-    return counts
-
-
-@pytest.mark.parametrize("q,m", [(q, m) for q in range(2, 7) for m in range(1, 9)])
-def test_residue_class_sizes_match_enumeration(q, m):
-    counts = partition_counts(q, m)
-    brute = brute_residue_classes(q, m)
-    assert counts.c_sizes == brute
-    assert counts.e_size == (q - 1) ** m
-    assert all(partition_counts(q, m).c_sizes[v] == brute[v] for v in range(1, q + 1))
+def two_size_law(q, m):
+    """The residue class sizes the paper states for m >= 2, ascending: q-1
+    classes of one size and one exception, one smaller for even m and one
+    larger for odd m.  Each count must come out integral."""
+    base = (q - 1) ** (m - 1)
+    if m % 2 == 0:
+        sizes = [base - q + 1] + [base + 1] * (q - 1)
+    else:
+        sizes = [base - 1] * (q - 1) + [base + q - 1]
+    assert all(size % q == 0 for size in sizes), (q, m)
+    return [size // q for size in sizes]
 
 
 @pytest.mark.parametrize("q,m", [(q, m) for q in range(2, 7) for m in range(2, 9)])
 def test_two_size_law_with_parity_dependent_exception(q, m):
-    sizes = sorted(partition_counts(q, m).c_sizes.values())
-    base = (q - 1) ** (m - 1)
-    if m % 2 == 0:
-        # one residue class runs q-1 short of the others
-        assert sizes == [(base - q + 1) // q] + [(base + 1) // q] * (q - 1)
-    else:
-        assert sizes == [(base - 1) // q] * (q - 1) + [(base + q - 1) // q]
-
-
-def test_partition_counts_must_cover_all_tails():
-    with pytest.raises(ValueError, match="partition the tails"):
-        PartitionCounts(q=3, m=2, c_sizes={1: 1, 2: 0, 3: 0}, e_size=4)
+    assert sorted(partition_residue_buckets(q, m).values()) == two_size_law(q, m)
 
 
 # ---------------------------------------------------------------------------
 # fiber intersections
 # ---------------------------------------------------------------------------
+
+
+def fiber_closed_form(q, residues, f_tail):
+    """Lemma 3: the fiber's q-1 rows hit every checksum residue except
+    <sum f_tail>_q once, so avoiding l residues leaves q-l rows if that one
+    is among them, else q-l-1."""
+    l = len(residues)
+    return q - l if residue_q(sum(f_tail), q) in residues else q - l - 1
 
 
 def fiber_survivors_from_construction(q, m, residues, f_tail):
@@ -117,24 +106,9 @@ def test_fiber_intersections_match_the_real_rows(q, m):
     for f_tail in itertools.product(range(1, q), repeat=m - 1):
         for l in range(1, q):
             for residues in itertools.combinations(range(1, q + 1), l):
-                assert lemma3_intersection(
-                    q, m, l, residues, f_tail
+                assert fiber_closed_form(
+                    q, residues, f_tail
                 ) == fiber_survivors_from_construction(q, m, residues, f_tail)
-
-
-def test_fiber_intersection_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        lemma3_intersection(3, 2, 0, (), (1,))
-    with pytest.raises(ValueError):
-        lemma3_intersection(3, 2, 3, (1, 2, 3), (1,))  # l > q-1
-    with pytest.raises(ValueError):
-        lemma3_intersection(3, 2, 2, (1, 1), (1,))  # repeated residue
-    with pytest.raises(ValueError):
-        lemma3_intersection(3, 2, 1, (4,), (1,))  # residue out of range
-    with pytest.raises(ValueError):
-        lemma3_intersection(3, 3, 1, (1,), (1,))  # tail too short
-    with pytest.raises(ValueError):
-        lemma3_intersection(3, 2, 1, (1,), (3,))  # tail entry hits q
 
 
 # ---------------------------------------------------------------------------
@@ -145,8 +119,8 @@ def test_fiber_intersection_rejects_bad_arguments():
 @pytest.mark.parametrize("q", range(2, 11))
 def test_geometric_sum_closed_form(q):
     for m in range(1, 13):
-        expected = sum((q - 1) ** u * q ** (m - u) for u in range(1, m + 1))
-        assert geometric_sum(q, m) == expected == (q - 1) * q ** m - (q - 1) ** (m + 1)
+        total = sum((q - 1) ** u * q ** (m - u) for u in range(1, m + 1))
+        assert total == (q - 1) * q ** m - (q - 1) ** (m + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +165,10 @@ def test_odd_m_needs_the_rows_to_fit():
 
 
 def test_printed_odd_constant_is_non_integral_and_undershoots():
-    printed = partition_bound_printed_odd(3, 3)
+    # The odd-m bound as printed, (q-1)q^m - (q-1)^(m+1)/2 + (q-1)/q:
+    # non-integral at q=3, so it cannot count symbols and is never asserted.
+    q, m = 3, 3
+    printed = (q - 1) * q ** m - Fraction((q - 1) ** (m + 1), 2) + Fraction(q - 1, q)
     assert printed == Fraction(140, 3)
     assert printed.denominator != 1
     assert printed < partition_bound_closed(3, 3)
@@ -202,21 +179,38 @@ def test_printed_odd_constant_is_non_integral_and_undershoots():
 # ---------------------------------------------------------------------------
 
 
+def stage_sum(m, a, b):
+    """The bipartite ordering's step sizes for a+b < m:
+    C(a,a) C(m-a,b) + sum over i in [0, m-a-b-1] of C(a+i, a-1) C(m-a-i-1, b)."""
+    return comb(a, a) * comb(m - a, b) + sum(
+        comb(a + i, a - 1) * comb(m - a - i - 1, b) for i in range(m - a - b)
+    )
+
+
 def test_stage_sum_identity_everywhere_it_is_defined():
     checked = 0
     for m in range(3, 17):
         for a in range(1, m):
             for b in range(1, m - a):
-                assert binomial_identity_check(m, a, b) == comb(m, a + b)
+                assert stage_sum(m, a, b) == comb(m, a + b)
                 checked += 1
     assert checked == 560
 
 
-def test_stage_sum_identity_rejects_degenerate_shapes():
-    with pytest.raises(ValueError):
-        binomial_identity_check(4, 2, 2)  # needs a+b < m
-    with pytest.raises(ValueError):
-        binomial_identity_check(4, 0, 1)
+# ---------------------------------------------------------------------------
+# running-union sum
+# ---------------------------------------------------------------------------
+
+
+def union_sum(pattern, order):
+    """sum_h |complement(A_{i_1}) | .. | complement(A_{i_h})|, the
+    running-union sum over a full ordering of the users."""
+    full = (1 << pattern.f) - 1
+    union = total = 0
+    for u in order:
+        union |= full & ~pattern.masks[u - 1]
+        total += union.bit_count()
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from pda_workbench.core import (
     verify_pda,
 )
 from pda_workbench.filler import build_conflict_graph, fill_exact
-from pda_workbench.formulas import PartitionCounts, RatioReport, partition_counts, ratio_report
+from pda_workbench.formulas import RatioReport, ratio_report
 from pda_workbench.simulate import (
     FileLibrary,
     SweepResult,
@@ -53,7 +53,6 @@ def _samples():
         theorem3_search(2, 2, 1),
         build_conflict_graph(pattern),
         fill_exact(pattern),
-        partition_counts(3, 2),
         ratio_report(2, 2),
         lib,
         transcript.signals[0],
@@ -78,7 +77,7 @@ def test_samples_cover_every_record_type():
         and obj.__module__ == module.__name__
     }
     assert {type(r) for r in SAMPLES} == defined
-    assert len(defined) == 19
+    assert len(defined) == 18
 
 
 @pytest.mark.parametrize("record", SAMPLES, ids=lambda r: type(r).__name__)
@@ -119,11 +118,6 @@ def test_records_rebuild_from_their_fields_by_position_and_keyword(record):
             "certificate value disagrees with its steps",
         ),
         (
-            lambda: PartitionCounts(q=3, m=2, c_sizes={1: 1}, e_size=4),
-            ValueError,
-            "residue classes must partition the tails",
-        ),
-        (
             lambda: RatioReport(3, 2, 18, 10, 20, None, Fraction(1)),
             ValueError,
             "exact value 20 outside [10, 18]",
@@ -131,7 +125,7 @@ def test_records_rebuild_from_their_fields_by_position_and_keyword(record):
     ],
     ids=[
         "PdaParams-k", "PdaParams-z", "PdaGrid", "StarPattern", "VerifyResult",
-        "BoundCertificate", "PartitionCounts", "RatioReport",
+        "BoundCertificate", "RatioReport",
     ],
 )
 def test_checked_records_reject_bad_input_as_before(build, error, message):
