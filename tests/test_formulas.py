@@ -73,6 +73,15 @@ def two_size_law(q, m):
     return [size // q for size in sizes]
 
 
+@pytest.mark.parametrize("q,m", [(q, m) for q in range(2, 7) for m in range(1, 9)])
+def test_residue_class_sizes_match_enumeration(q, m):
+    brute = {v: 0 for v in range(1, q + 1)}
+    for tail in itertools.product(range(1, q), repeat=m - 1):
+        brute[residue_q(sum(tail), q)] += 1
+    assert partition_residue_buckets(q, m) == brute
+    assert sum(brute.values()) == (q - 1) ** (m - 1)
+
+
 @pytest.mark.parametrize("q,m", [(q, m) for q in range(2, 7) for m in range(2, 9)])
 def test_two_size_law_with_parity_dependent_exception(q, m):
     assert sorted(partition_residue_buckets(q, m).values()) == two_size_law(q, m)
