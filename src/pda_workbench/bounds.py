@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .constructions import partition_column_id, partition_residue_buckets, subsets
@@ -182,10 +182,6 @@ def theorem1_greedy(pattern: StarPattern) -> BoundCertificate:
     return eval_ordering(pattern, order)._replace(method="greedy")
 
 
-class _OutOfBudget(Exception):
-    pass
-
-
 def theorem1_exact(
     pattern: StarPattern, budget: int = DEFAULT_NODE_BUDGET
 ) -> BoundCertificate:
@@ -217,36 +213,41 @@ def theorem1_exact(
         raise ValueError(f"need a budget of at least 0 intersections, got {budget}")
     masks = pattern.masks
     full = (1 << pattern.f) - 1
-    holders: Dict[int, int] = {}
-    memo: Dict[int, int] = {0: 0}
-    expanded = 0
-
-    def n_of(j: int) -> int:
-        if j not in holders:
-            holders[j] = sum(1 for a in masks if a & j == j)
-        return holders[j]
-
-    def future(inter: int) -> int:
-        nonlocal expanded
-        if inter in memo:
-            return memo[inter]
-        expanded += 1
-        if expanded > budget:
-            raise _OutOfBudget
-        n = n_of(inter)
-        best = 0
-        for child in {inter & a for a in masks} - {inter, 0}:
-            best = max(best, (n_of(child) - n) * child.bit_count() + future(child))
-        memo[inter] = best
-        return best
-
-    try:
-        target = n_of(full) * full.bit_count() + future(full)
-    except _OutOfBudget:
+    holders: Dict[int, int] = {0: len(masks), full: masks.count(full)}  # N(J)
+    memo: Dict[int, int] = {0: 0}  # f(J), once every child of J is done
+    # Depth-first with an explicit stack, so that the depth is not tied to
+    # the recursion limit.  A frame is [I, N(I), the children of I not yet
+    # visited, best future so far].  A child already in the memo is folded
+    # into its parent at once, a new one is expanded, and a finished frame
+    # is memoised and folded into the frame below it.
+    stack = [[full, holders[full], iter({full & a for a in masks} - {full, 0}), 0]]
+    expanded = 1
+    while stack and expanded <= budget:
+        frame = stack[-1]
+        inter, n, children, _ = frame
+        for child in children:
+            if child not in holders:
+                holders[child] = sum(1 for a in masks if a & child == child)
+            if child not in memo:
+                expanded += 1
+                grandchildren = {child & a for a in masks} - {child, 0}
+                stack.append([child, holders[child], iter(grandchildren), 0])
+                break
+            gain = (holders[child] - n) * child.bit_count() + memo[child]
+            frame[3] = max(frame[3], gain)
+        else:
+            stack.pop()
+            memo[inter] = frame[3]
+            if stack:
+                parent = stack[-1]
+                gain = (n - parent[1]) * inter.bit_count() + frame[3]
+                parent[3] = max(parent[3], gain)
+    if stack:
         identity = eval_ordering(pattern, range(1, pattern.k + 1))
         greedy = theorem1_greedy(pattern)
         best_cert = greedy if greedy.value > identity.value else identity
         return best_cert._replace(method="branch_bound", exact=False)
+    target = holders[full] * full.bit_count() + memo[full]
 
     inter = full
     unused = list(range(1, pattern.k + 1))
@@ -256,7 +257,7 @@ def theorem1_exact(
         for u in unused:
             child = inter & masks[u - 1]
             size = child.bit_count()
-            if (n_of(child) - len(witness)) * size + memo[child] == remaining:
+            if (holders[child] - len(witness)) * size + memo[child] == remaining:
                 break
         unused.remove(u)
         witness.append(u)
@@ -313,10 +314,6 @@ def bipartite_ordering(m: int, a: int, b: int) -> UserOrdering:
 # Min-max placement search
 # ---------------------------------------------------------------------------
 
-class _StopSearch(Exception):
-    pass
-
-
 def theorem3_search(
     k: int,
     f: int,
@@ -355,6 +352,7 @@ def theorem3_search(
     subset_masks = (
         sum(1 << (j - 1) for j in rows) for rows in combinations(range(1, f + 1), f - z)
     )
+    omega: List[int] = [next(subset_masks)]  # the subsets reached so far, in order
     floor = f - z
     best_value: Optional[int] = None
     best_pattern: Optional[StarPattern] = None
@@ -362,65 +360,46 @@ def theorem3_search(
     pruned = 0
     complete = True
 
-    def evaluate(masks: Tuple[int, ...]) -> int:
-        nonlocal nodes, complete
-        if budget is not None and nodes >= budget:
-            complete = False
-            raise _StopSearch
-        nodes += 1
-        cert = theorem1_exact(StarPattern(f, masks))
-        if not cert.exact:
-            complete = False
-        return cert.value
-
-    def offer(masks: Tuple[int, ...]) -> None:
-        nonlocal best_value, best_pattern
-        value = evaluate(masks)
-        if best_value is None or value < best_value:
-            best_value, best_pattern = value, StarPattern(f, masks)
+    # The walk is a loop over the current placement: masks[u] is user u+1's
+    # uncached set and ids[u] its index in omega.  User 1 stays at index 0,
+    # and each user's index starts at the one before it, so the ids never
+    # decrease.  The lists grow as the walk descends, so k is not tied to
+    # the recursion limit.
+    masks: List[int] = [omega[0]]
+    ids: List[int] = [0]
+    while True:
+        value: Optional[int] = None
+        if len(masks) == k or best_value is not None:
+            if budget is not None and nodes >= budget:
+                complete = False
+                break
+            nodes += 1
+            pattern = StarPattern(f, masks)
+            cert = theorem1_exact(pattern)
+            complete = complete and cert.exact
+            value = cert.value
+        if len(masks) < k:
+            if best_value is None or value < best_value:
+                masks.append(masks[-1])
+                ids.append(ids[-1])
+                continue
+            pruned += 1
+        elif best_value is None or value < best_value:
+            best_value, best_pattern = value, pattern
             if value == floor:
-                raise _StopSearch
-
-    omega: List[int] = [next(subset_masks)]
-
-    def subset(i: int) -> Optional[int]:
-        if i == len(omega):
-            nxt = next(subset_masks, None)
-            if nxt is None:
-                return None
-            omega.append(nxt)
-        return omega[i]
-
-    # Iterative, so that k is not tied to the recursion limit.  ids
-    # holds the subset index of each placed user after user 1, and the
-    # next user tries indices from i upwards.
-    prefix: Tuple[int, ...] = (omega[0],)
-    ids: List[int] = []
-    i = 0
-    try:
-        if k == 1:
-            offer(prefix)
+                break
+        # Move to the next sibling, climbing out of every level used up.
+        while len(ids) > 1:
+            i = ids[-1] + 1
+            if i == len(omega):
+                omega.extend(islice(subset_masks, 1))
+            if i < len(omega):
+                ids[-1], masks[-1] = i, omega[i]
+                break
+            ids.pop()
+            masks.pop()
         else:
-            while True:
-                mask = subset(i)
-                if mask is None:
-                    if not ids:
-                        break
-                    i = ids.pop() + 1
-                    prefix = prefix[:-1]
-                    continue
-                child = prefix + (mask,)
-                if len(child) == k:
-                    offer(child)
-                elif best_value is not None and evaluate(child) >= best_value:
-                    pruned += 1
-                else:
-                    ids.append(i)
-                    prefix = child
-                    continue
-                i += 1
-    except _StopSearch:
-        pass
+            break
 
     assert best_value is not None and best_pattern is not None
     return SearchReport(

@@ -435,12 +435,18 @@ def cmd_table(args: argparse.Namespace) -> int:
             except ValueError as e:
                 print(f"skipping q={q}, m={m}: {e}", file=sys.stderr)
                 continue
+            try:
+                numbers = [str(row.s_pda), str(row.s_derived)]
+            except ValueError as e:
+                # Past the interpreter's integer-to-string digit limit.
+                # s_pda = (q-1)q^m only grows with m, so this q is done.
+                print(f"skipping q={q}, m={m} and above: {e}", file=sys.stderr)
+                break
             writer.writerow(
                 [
                     q,
                     m,
-                    row.s_pda,
-                    row.s_derived,
+                    *numbers,
                     "" if row.s_exact is None else row.s_exact,
                     "" if row.mu is None else f"{float(row.mu):.6f}",
                     f"{float(row.formula_ratio):.6f}",

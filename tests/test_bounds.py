@@ -171,6 +171,19 @@ def test_truncated_search_reports_the_better_of_identity_and_greedy():
     ]
 
 
+def test_exact_search_descends_past_the_recursion_limit():
+    # User u leaves every row but row u uncached, so the running
+    # intersections nest 1,100 deep, past the default recursion limit,
+    # before the budget runs out.  The fallback is the identity ordering,
+    # 1099 + 1098 + ... + 1.
+    full = (1 << 1100) - 1
+    chain = StarPattern(1100, [full ^ (1 << u) for u in range(1100)])
+    cert = theorem1_exact(chain, budget=2000)
+    assert cert.method == "branch_bound"
+    assert cert.value == 604450
+    assert cert.exact is False
+
+
 @pytest.mark.parametrize("q,m,value", [(5, 2, 90), (4, 3, 180)])
 def test_exact_certifies_the_partition_frontier(q, m, value):
     pat = to_star_pattern(partition_pda(q, m))
@@ -347,6 +360,38 @@ def test_min_max_frontier_completes(k, f, z, budget, expected):
     assert rep.best_value == expected
     assert rep.best_pattern.uniform_z() == z
     assert theorem1_exact(rep.best_pattern).value == expected
+
+
+# (k, f, z, budget) -> (best_value, nodes_explored, dedup_hits, exhaustive).
+# The counts pin the walk itself: its order, its pruning, where a budget
+# stops it and where it stops at the floor f - z, not just the minimum.
+SEARCH_WALKS = {
+    (1, 4, 2, None): (2, 1, 0, True),  # one user: a single leaf
+    (2, 4, 2, None): (2, 6, 0, True),  # stops at the floor 2
+    (3, 5, 5, None): (0, 1, 0, True),  # all cached: the first leaf is the floor
+    (3, 4, 2, None): (3, 17, 3, True),
+    (3, 6, 3, None): (4, 72, 16, True),
+    (4, 6, 3, None): (4, 139, 61, True),  # the README's example
+    (4, 6, 3, 5): (11, 5, 0, False),  # stops before any pruning
+    (4, 6, 3, 100): (5, 100, 31, False),  # stops mid-descent
+    (5, 8, 4, 30): (18, 30, 0, False),
+    (5, 6, 2, None): (10, 985, 446, True),
+    (4, 8, 4, 5000): (6, 862, 500, True),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(SEARCH_WALKS, key=str))
+def test_search_walk_counts_are_pinned(shape):
+    rep = theorem3_search(*shape[:3], budget=shape[3])
+    assert (rep.best_value, rep.nodes_explored, rep.dedup_hits, rep.exhaustive) == (
+        SEARCH_WALKS[shape]
+    )
+
+
+def test_search_descends_past_the_recursion_limit():
+    # One row, nothing cached: a single placement, 3,000 users deep.
+    rep = theorem3_search(3000, 1, 0, budget=1)
+    assert (rep.best_value, rep.nodes_explored, rep.exhaustive) == (3000, 1, True)
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)

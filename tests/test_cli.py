@@ -244,6 +244,20 @@ def test_bound_on_a_placement_has_no_certification(run):
     assert "optimality certified" not in out
 
 
+def test_bound_on_a_deep_chain_runs_out_of_budget_cleanly(run, tmp_path):
+    # User u leaves every row but row u uncached, so the exact search
+    # nests 1,100 intersections deep, past the default recursion limit,
+    # before its budget runs out.
+    full = (1 << 1100) - 1
+    chain = StarPattern(1100, [full ^ (1 << u) for u in range(1100)])
+    path = tmp_path / "chain.plc"
+    path.write_text(format_placement(chain))
+    code, out, err = run(["bound", str(path), "--budget", "2000"])
+    assert code == EXIT_BUDGET
+    assert "value: 604450" in out.splitlines()
+    assert "Traceback" not in err
+
+
 def test_bound_ordered_shape_mismatch_is_usage(run):
     code, _, err = run(
         ["bound", "--method", "ordered:partition", "--q", "3", "--m", "2"],
@@ -731,6 +745,29 @@ def test_table_skips_shapes_it_cannot_evaluate(run):
     assert not any(line.startswith("3,9,") for line in lines)
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"),
+    reason="this interpreter has no integer-to-string digit limit",
+)
+def test_table_stops_a_q_at_the_digit_limit(run):
+    # With the limit at 640 digits, s_pda = 9 * 10^m stops printing at
+    # m = 640: q=10 ends there with one line on stderr, and q=2 goes on.
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run(["table", "--q-list", "10,2", "--m-max", "642"])
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert code == EXIT_OK
+    assert err.count("skipping q=10, m=640") == 1
+    assert "skipping q=10, m=641" not in err and "skipping q=10, m=642" not in err
+    lines = out.splitlines()
+    assert lines[0].startswith("q,m,")
+    assert any(line.startswith("10,638,") for line in lines)
+    assert not any(line.startswith(("10,640,", "10,642,")) for line in lines)
+    assert any(line.startswith("2,642,") for line in lines)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -1082,3 +1119,38 @@ def test_the_caller_walk_ignores_a_definition_naming_itself():
         "b.py": "from a import imported\nimport a\nvalue = a.called_as_attribute()\n",
     }
     assert unreferenced_public_names(sources) == [("a.py", "Lone"), ("a.py", "recursive")]
+
+
+def self_calling_functions(sources):
+    """(file, name) for each function, nested ones included, in `sources`
+    (file name -> source text) whose body calls its own name."""
+    return sorted(
+        (file, definition.name)
+        for file, text in sources.items()
+        for definition in ast.walk(ast.parse(text))
+        if isinstance(definition, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == definition.name
+            for node in ast.walk(definition)
+        )
+    )
+
+
+def test_no_function_in_the_package_calls_itself():
+    # Recursion ties an engine's depth to the interpreter's recursion
+    # limit, so a deep input would end in a RecursionError traceback.
+    sources = package_sources()
+    assert "bounds.py" in sources
+    assert self_calling_functions(sources) == []
+
+
+def test_the_recursion_walk_finds_nested_and_top_level_self_calls():
+    sources = {
+        "a.py": "def recursive(n):\n    return recursive(n - 1)\n"
+        "def outer():\n    def inner():\n        return inner()\n    return inner\n"
+        "def calls_another():\n    return recursive(1)\n"
+        "def named_not_called():\n    return named_not_called\n",
+    }
+    assert self_calling_functions(sources) == [("a.py", "inner"), ("a.py", "recursive")]
