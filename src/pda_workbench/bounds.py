@@ -250,16 +250,22 @@ def theorem1_exact(
     target = holders[full] * full.bit_count() + memo[full]
 
     inter = full
-    unused = list(range(1, pattern.k + 1))
+    k = pattern.k
+    used = [False] * (k + 1)  # used[u]: user u is in the witness
+    low = 1  # every user below it is in the witness
     witness: List[int] = []
     remaining = target
-    while unused:
-        for u in unused:
+    while len(witness) < k:
+        while used[low]:
+            low += 1
+        for u in range(low, k + 1):
+            if used[u]:
+                continue
             child = inter & masks[u - 1]
             size = child.bit_count()
             if (holders[child] - len(witness)) * size + memo[child] == remaining:
                 break
-        unused.remove(u)
+        used[u] = True
         witness.append(u)
         remaining -= size
         inter = child

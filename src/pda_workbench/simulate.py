@@ -13,18 +13,23 @@ so the schedule (the symbols in id order with their sorted terms and the
 check that none repeats a row or column, the decode log, and for each
 user which rows it caches and which signal and cancellation terms serve
 the rest) is built once per array and memoised by grid content.  Only
-the payloads depend on the demand: delivery XORs each symbol's packets,
-and decoding XORs each signal with the cancellation terms taken from the
-user's own cache, both as one integer fold per signal or cell.
+the payloads depend on the demand.  For one demand, delivery XORs each
+symbol's packets, and decoding XORs each signal with the cancellation
+terms taken from the user's own cache, one integer fold per signal or cell.
+A sweep does the same for a block of demands (32 KB of one packet each) at
+once: a term's lane joins W[d_k, j] of every demand of the block into one
+integer, demand b in bytes [b L, (b + 1) L), so each XOR and comparison is
+one big-int operation per term per block.  Lanes live for one symbol.
 
 Every packet of a library is converted to a little-endian integer once,
 memoised by library content like the schedule: one int per packet, for
 up to 8 libraries, which the memo also keeps alive.  Building it checks
 every packet's length, so a library with a wrong-length packet is refused
 on any delivery.  Delivery folds those ints.  Decoding uses a packet's int
-only when the cache entry is the library's own packet object, which is
-what `place` stores; any other entry is length-checked and converted from
-its own bytes, so a user still decodes from its cache alone.
+(a sweep, a term's library lane) only when the cache entries are the
+library's own packet objects, which is what `place` stores; any other
+entry is length-checked and converted from its own bytes, so a user still
+decodes from its cache alone.
 
 XOR over raw bytes stands in for the unspecified field: GF(2) suffices for
 one-shot decoding.  Payloads come from a seeded generator so transcripts
@@ -38,7 +43,7 @@ import time
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import islice, product
 from types import MappingProxyType
 from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
@@ -46,6 +51,7 @@ from .core import STAR, PdaGrid, pda_params
 
 DEFAULT_PACKET_LEN = 64
 _MAX_PACKET_LEN = (1 << 28) - 1  # randbytes on Python 3.11 draws 8 * len bits via a C int
+_BLOCK_BYTES = 1 << 15  # a sweep block holds max(1, this // packet_len) demands
 
 Cache = Dict[Tuple[int, int], bytes]  # (file n, row j) -> packet
 Term = Tuple[int, int]  # (user k, row j) of one cell
@@ -312,9 +318,10 @@ def all_demands(n: int, k: int) -> Iterator[Tuple[int, ...]]:
     return product(range(1, n + 1), repeat=k)
 
 
-def sample_demands(n: int, k: int, count: int, seed: int = 0) -> List[Tuple[int, ...]]:
+def sample_demands(n: int, k: int, count: int, seed: int = 0) -> Iterator[Tuple[int, ...]]:
+    """`count` seeded random demands in [n]^k, drawn as they are consumed."""
     rng = random.Random(seed)
-    return [tuple(rng.randint(1, n) for _ in range(k)) for _ in range(count)]
+    return (tuple(rng.randint(1, n) for _ in range(k)) for _ in range(count))
 
 
 class SweepResult(
@@ -356,6 +363,54 @@ class SweepResult(
         return hash(self[:-1])
 
 
+def _cache_lane(cache: Cache, j: int, column: Sequence[int], packet_len: int) -> Tuple[int, int]:
+    """The lane of entries (n, j) of `cache` for each n of `column`, and the
+    first slot whose entry is missing or of another length (else len(column))."""
+    parts = [cache.get((n, j)) for n in column]
+    bad = [b for b, p in enumerate(parts) if p is None or len(p) != packet_len]
+    for b in bad:
+        parts[b] = bytes(packet_len)
+    return int.from_bytes(b"".join(parts), "little"), min(bad, default=len(column))
+
+
+def _block_failure(schedule: _Schedule, by_row: Sequence[Sequence[bytes]], caches: Sequence[Cache],
+                   foreign: set[Term], block: Sequence[Tuple[int, ...]], packet_len: int) -> int:
+    """Slot of the first demand of `block` that a user fails to decode, or
+    len(block).  by_row[j] is (b"", W[1, j], ..., W[N, j]); `foreign` holds
+    each (k, j) where user k's entries for row j are not the library's own."""
+    # module-level imports are held to a fixed set; collections has loaded operator anyway
+    from operator import itemgetter
+
+    columns = (None, *zip(*block))  # columns[k]: user k's file at each slot
+    picks = (None, *(itemgetter(0, *column) for column in columns[1:]))  # a tuple even for one slot
+    first = len(block)
+    wrong = 0  # OR of (decoded ^ wanted) over every user's mismatching lane
+    for _, terms in schedule.symbols:
+        lanes = {(k, j): int.from_bytes(b"".join(picks[k](by_row[j])), "little") for k, j in terms}
+        signal = 0
+        for lane in lanes.values():
+            signal ^= lane
+        for k, j in terms:
+            value = signal
+            for k2, j2 in schedule.rows[k - 1][j - 1][1]:
+                if (k, j2) in foreign:
+                    lane, bad = _cache_lane(caches[k - 1], j2, columns[k2], packet_len)
+                    value ^= lane
+                    first = min(first, bad)
+                else:
+                    value ^= lanes[(k2, j2)]
+            if value != lanes[(k, j)]:
+                wrong |= value ^ lanes[(k, j)]
+    for k, j in foreign:  # rows user k holds of its own file
+        if schedule.rows[k - 1][j - 1] is None:
+            value, bad = _cache_lane(caches[k - 1], j, columns[k], packet_len)
+            wrong |= value ^ int.from_bytes(b"".join(picks[k](by_row[j])), "little")
+            first = min(first, bad)
+    if wrong:
+        first = min(first, ((wrong & -wrong).bit_length() - 1) // (8 * packet_len))
+    return first
+
+
 def run_sweep(
     grid: PdaGrid,
     lib: FileLibrary,
@@ -363,28 +418,39 @@ def run_sweep(
 ) -> SweepResult:
     """Deliver and decode every demand; report byte-exactness across all.
 
-    Caches are placed once and shared by every demand, and the array's
-    schedule is built once.  A demand fails when it yields other than S
-    signals, a cancellation term is missing, or a reassembled file differs
-    from the library.  Every demand is checked, and the first failure in
-    input order is reported.
+    Caches are placed once and shared by every demand, the array's schedule
+    is built once, and demands are read one block at a time.  A demand fails
+    when the array has other than S symbols, a cache entry a user needs is
+    missing or of the wrong length, or a decoded or cached row differs from
+    the library.  Every demand is validated, and the first failure in input
+    order is reported.
     """
     start = time.perf_counter()
     params = pda_params(grid)
     caches = place(grid, lib)
-    terms_per_demand = sum(len(terms) ** 2 for _, terms in _schedule(grid).symbols)
-    checked = signals = 0
+    schedule = _schedule(grid)
+    terms_per_demand = sum(len(terms) ** 2 for _, terms in schedule.symbols)
+    by_row = (None, *((b"", *row) for row in zip(*lib.packets)))
+    foreign = {(k, j) for k, cache in enumerate(caches, start=1) for j in range(1, grid.f + 1)
+               if not all(cache.get((n, j)) is by_row[j][n] for n in range(1, lib.n + 1))}
+    size = max(1, _BLOCK_BYTES // lib.packet_len)
+    demands = map(tuple, demands)
+    block = list(islice(demands, size))
+    if block:  # refuse a bad demand, array or library as a per-demand sweep would
+        deliver(grid, lib, block[0])
+    checked = 0
     first_failure = None
-    for d in map(tuple, demands):
-        checked += 1
-        t = deliver(grid, lib, d)
-        signals += len(t.signals)
-        try:
-            ok = len(t.signals) == params.s and decode(grid, t, caches, d, lib).ok
-        except DecodeError:
-            ok = False
-        if not ok and first_failure is None:
-            first_failure = d
+    while block:
+        for d in block:
+            _check_demand(grid, lib, d)
+        checked += len(block)
+        if first_failure is None:
+            slot = 0 if len(schedule.symbols) != params.s else _block_failure(
+                schedule, by_row, caches, foreign, block, lib.packet_len
+            )
+            if slot < len(block):
+                first_failure = block[slot]
+        block = list(islice(demands, size))
     return SweepResult(
         demands_checked=checked,
         all_ok=first_failure is None,
@@ -392,7 +458,7 @@ def run_sweep(
         first_failure=first_failure,
         stats={
             "demands": checked,
-            "signals": signals,
+            "signals": checked * len(schedule.symbols),
             "xor_terms": checked * terms_per_demand,
             "elapsed_s": time.perf_counter() - start,
         },

@@ -11,7 +11,8 @@ import pytest
 
 from conftest import GOLDEN_PARAMS, SIGNAL_TERMS_K6_F4_Z2, golden_grid
 from pda_workbench.constructions import bipartite_pda, grouping_pda, mn_pda, partition_pda
-from pda_workbench.core import STAR, PdaGrid, verify_pda
+from pda_workbench import simulate
+from pda_workbench.core import STAR, PdaGrid, pda_params, verify_pda
 from pda_workbench.simulate import (
     DecodeError,
     FileLibrary,
@@ -171,10 +172,12 @@ def test_full_sweep_small_library():
 
 def test_demand_helpers():
     assert list(all_demands(2, 2)) == [(1, 1), (1, 2), (2, 1), (2, 2)]
-    sample = sample_demands(3, 5, 7, seed=42)
-    assert sample == sample_demands(3, 5, 7, seed=42)
+    sample = list(sample_demands(3, 5, 7, seed=42))
+    assert sample == list(sample_demands(3, 5, 7, seed=42))
     assert len(sample) == 7
     assert all(len(d) == 5 and all(1 <= x <= 3 for x in d) for d in sample)
+    # drawn as consumed: the first of 10**12 demands comes without the rest
+    assert next(iter(sample_demands(3, 5, 10**12, seed=42))) == sample[0]
 
 
 def test_xor_matches_bytewise_and_keeps_zero_bytes():
@@ -397,6 +400,170 @@ def test_a_sweep_builds_the_schedule_once():
         "xor_terms": 16 * 4 * 9,
     }
     assert res.stats["elapsed_s"] >= 0
+
+
+# ---------------------------------------------------------------------------
+# the block sweep against one deliver and decode per demand
+# ---------------------------------------------------------------------------
+
+
+def per_demand_sweep(grid, lib, demands):
+    """What run_sweep reports, from one deliver and decode per demand:
+    (demands_checked, all_ok, first_failure, stats less elapsed_s), or the
+    ValueError it raises.  A cached row that decode cannot find (KeyError)
+    counts as a failure, as a missing cancellation term (DecodeError) does."""
+    try:
+        params = pda_params(grid)
+        caches = simulate.place(grid, lib)
+        checked = signals = xor_terms = 0
+        first_failure = None
+        for d in map(tuple, demands):
+            t = deliver(grid, lib, d)
+            checked += 1
+            signals += len(t.signals)
+            xor_terms += sum(len(s.terms) ** 2 for s in t.signals)
+            try:
+                ok = len(t.signals) == params.s and decode(grid, t, caches, d, lib).ok
+            except (DecodeError, KeyError):
+                ok = False
+            if not ok and first_failure is None:
+                first_failure = d
+    except ValueError as e:
+        return "ValueError", str(e)
+    stats = {"demands": checked, "signals": signals, "xor_terms": xor_terms}
+    return checked, first_failure is None, first_failure, stats
+
+
+def block_sweep(grid, lib, demands):
+    """run_sweep's outcome in per_demand_sweep's form."""
+    try:
+        res = run_sweep(grid, lib, demands)
+    except ValueError as e:
+        return "ValueError", str(e)
+    stats = dict(res.stats)
+    assert stats.pop("elapsed_s") >= 0
+    return res.demands_checked, res.all_ok, res.first_failure, stats
+
+
+def column_swaps(count, seed):
+    """Golden grids with a star and a symbol swapped within one column: star
+    counts stay uniform, so each one reaches delivery."""
+    rng = random.Random(seed)
+    grids = []
+    for _ in range(count):
+        cells = [list(r) for r in golden_grid(rng.choice(sorted(GOLDEN_PARAMS))).cells]
+        k = rng.randrange(len(cells[0]))
+        star = rng.choice([j for j in range(len(cells)) if cells[j][k] == STAR])
+        symbol = rng.choice([j for j in range(len(cells)) if cells[j][k] != STAR])
+        cells[star][k], cells[symbol][k] = cells[symbol][k], cells[star][k]
+        grids.append(PdaGrid(tuple(map(tuple, cells))))
+    return grids
+
+
+def overwritten_star():
+    cells = [list(r) for r in golden_grid("GRID_K6_F4_Z2").cells]
+    cells[0][0] = 4
+    return PdaGrid(tuple(map(tuple, cells)))
+
+
+SWEEP_GRIDS = DIFFERENTIAL_GRIDS + [partition_pda(3, 3)] + [
+    PdaGrid(((1, 2), (2, 1))),  # cross cells hold symbols: no cancellation is cached
+    overwritten_star(),  # star counts no longer uniform
+    PdaGrid(((1, 1, STAR), (STAR, STAR, 2))),  # a symbol repeats row 1
+    PdaGrid(((STAR, 2), (2, STAR))),  # one symbol where S = 2: every demand fails
+] + column_swaps(12, seed=7)
+
+
+EIGHT_PER_BLOCK = simulate._BLOCK_BYTES // 8  # a packet length that makes blocks of 8 demands
+
+
+@pytest.mark.parametrize("packet_len", [5, EIGHT_PER_BLOCK])  # one block; blocks of 8
+@pytest.mark.parametrize("grid", SWEEP_GRIDS, ids=lambda g: f"K{g.k}-F{g.f}")
+def test_block_sweep_matches_a_per_demand_sweep(grid, packet_len):
+    lib = FileLibrary.generate(3, grid.f, packet_len=packet_len, seed=grid.k + grid.f)
+    if 3 ** grid.k <= 729:
+        demands = list(all_demands(3, grid.k))
+    else:
+        demands = list(sample_demands(3, grid.k, 100, seed=grid.f))
+    demands *= -(-24 // len(demands))  # three or more blocks of 8
+    expected = per_demand_sweep(grid, lib, demands)
+    assert block_sweep(grid, lib, iter(demands)) == expected
+
+
+def test_block_sweep_raises_as_the_per_demand_sweep_does():
+    grid = mn_pda(4, 2)
+    lib = FileLibrary.generate(2, 6, packet_len=8, seed=3)
+    short = FileLibrary(n=2, f=6, packet_len=8, packets=(lib.packets[0][:5] + (bytes(7),),
+                                                          lib.packets[1]))
+    later_bad = [(1, 1, 1, 1), (1, 2, 1, 2), (1, 2, 3, 1), (1, 2, 1)]
+    for library, demands, message in [
+        (lib, later_bad, "demanded file 3 outside"),
+        (lib, [(1, 2, 1), (1, 2, 3, 1)], "demand length 3"),
+        (short, [(1, 1, 1, 1)], "7 bytes"),
+    ]:
+        expected = per_demand_sweep(grid, library, demands)
+        assert block_sweep(grid, library, demands) == expected
+        assert message in expected[1]
+    assert block_sweep(grid, lib, []) == (0, True, None, {"demands": 0, "signals": 0,
+                                                          "xor_terms": 0})
+
+
+def drop_entry(caches, key):
+    del caches[0][key]
+
+
+def flip_entry(caches, key):
+    caches[0][key] = bytes(b ^ 0xFF for b in caches[0][key])
+
+
+def copy_entries(caches, key):
+    for cache in caches:
+        for entry, packet in cache.items():
+            cache[entry] = bytes(bytearray(packet))  # equal bytes, a new object
+
+
+@pytest.mark.parametrize("change", [drop_entry, flip_entry, copy_entries])
+@pytest.mark.parametrize("failing", [(1, 2, 3, 1), (3, 1, 1, 2)])
+def test_block_sweep_reads_each_users_own_cache(monkeypatch, change, failing):
+    # User 1 caches row 3 of mn(4, 2) and cancels W[d_3, 3] out of one of its
+    # signals.  Changing its entry for file 3 fails a demand with d_3 = 3 (a
+    # cancellation) or d_1 = 3 (its own cached row); files 1 and 2 decode.
+    grid = mn_pda(4, 2)
+    assert grid.cells[2][0] == STAR and grid.cells[2][2] != STAR
+    real_place = simulate.place
+
+    def place(grid, lib):
+        caches = real_place(grid, lib)
+        change(caches, (3, 3))
+        return caches
+
+    monkeypatch.setattr(simulate, "place", place)
+    lib = FileLibrary.generate(3, 6, packet_len=EIGHT_PER_BLOCK, seed=5)
+    w3 = lib.packets[2]  # W[3, 3] all zeros: a missing entry must not pass as one
+    lib = lib._replace(packets=lib.packets[:2] + (w3[:2] + (bytes(EIGHT_PER_BLOCK),) + w3[3:],))
+    demands = list(all_demands(2, 4)) + [(2, 1, 2, 1)] * 8
+    demands[19:19] = [failing, (3, 3, 3, 3)]  # block 2, slot 3
+    expected = per_demand_sweep(grid, lib, demands)
+    assert block_sweep(grid, lib, demands) == expected
+    assert expected[2] == (None if change is copy_entries else failing)
+
+
+def test_block_sweep_fails_a_cached_entry_of_the_wrong_length(monkeypatch):
+    # decode refuses to XOR such an entry (ValueError); the sweep fails the
+    # demands that read it and goes on.
+    real_place = simulate.place
+
+    def place(grid, lib):
+        caches = real_place(grid, lib)
+        caches[0][(3, 3)] = caches[0][(3, 3)][:-1]
+        return caches
+
+    monkeypatch.setattr(simulate, "place", place)
+    lib = FileLibrary.generate(3, 6, packet_len=8, seed=5)
+    for failing in [(1, 2, 3, 1), (3, 1, 1, 2)]:
+        demands = list(all_demands(2, 4)) + [failing, (3, 3, 3, 3)]
+        res = run_sweep(mn_pda(4, 2), lib, demands)
+        assert res.demands_checked == 18 and res.first_failure == failing
 
 
 # ---------------------------------------------------------------------------
