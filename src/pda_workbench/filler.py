@@ -4,20 +4,22 @@ Fix the stars and ask for the cheapest symbol assignment on the remaining
 cells.  Two cells can share a symbol only if they sit in distinct rows and
 columns and their two cross cells are both stars, so legal assignments are
 exactly the proper colorings of a *conflict graph* on the non-star cells —
-and the minimum symbol count is its chromatic number.
+and the minimum symbol count is its chromatic number.  The graph keeps one
+neighbor bitmask per cell, so a vertex-set test is one big-int operation.
 
 `fill_greedy` colors first-fit in two vertex orders, row-major and most
 neighbors first, and keeps the better (fast, no optimality claim).
 `fill_exact` starts from that coloring and finds the chromatic number by
-trying k = LB, LB+1, ... with a saturation-guided backtracking search.
+trying k = LB, LB+1, ... with a backtracking search that colors the most
+saturated vertex next (DSATUR order, Brélaz 1979), updating per vertex a
+score and a neighbor-color bitmask, and per color a neighbor bitmask.
 The lower bound LB is the ordering bound on the same pattern, and it is a
 clique bound: along any user ordering, the cells (j, i_h) with j in the
 running intersection I_h are pairwise in conflict (two of them share a row
 or a column, or the later one's row lies in I_h, so its cross cell in
-column i_h is uncached).  Each ordering's value is therefore the size of a
-clique, the truncated bound's fallback ordering included, and the best
-ordering is the largest such clique.  That lets the search start high and
-certify optimality early.
+column i_h is uncached).  Each ordering's value, the truncated bound's
+fallback included, is thus the size of a clique, which lets the search
+start high and certify optimality early.
 """
 
 from __future__ import annotations
@@ -35,43 +37,38 @@ class ConflictGraph(NamedTuple):
     """Non-star cells and the pairs that must not share a symbol."""
 
     vertices: Tuple[Tuple[int, int], ...]  # (row j, user k), row-major
-    adj: Tuple[frozenset, ...]  # neighbor indices per vertex
+    adj: Tuple[int, ...]  # neighbor bitmask per vertex (bit u = vertex u)
 
     @property
     def n(self) -> int:
         return len(self.vertices)
 
     def edge_count(self) -> int:
-        return sum(len(a) for a in self.adj) // 2
+        return sum(a.bit_count() for a in self.adj) // 2
 
 
 def build_conflict_graph(pattern: StarPattern) -> ConflictGraph:
     """Vertices are the uncached cells; edges forbid sharing a symbol.
 
     (j1,k1) ~ (j2,k2) when the rows or the columns coincide, or one of the
-    cross cells (j1,k2), (j2,k1) is itself uncached.
+    cross cells (j1,k2), (j2,k1) is itself uncached.  Row j1 is uncached in
+    column k1, so the first two cases are inside the last two: a vertex's
+    neighbors are the cells of every column missing its row and of every
+    row its column misses.
     """
-    vertices = sorted(
-        (j, k)
-        for k in range(1, pattern.k + 1)
-        for j in _mask_to_rows(pattern.masks[k - 1])
-    )
-    adj: List[set] = [set() for _ in vertices]
-    for a in range(len(vertices)):
-        j1, k1 = vertices[a]
-        for b in range(a + 1, len(vertices)):
-            j2, k2 = vertices[b]
-            if (
-                j1 == j2
-                or k1 == k2
-                or pattern.masks[k2 - 1] >> (j1 - 1) & 1
-                or pattern.masks[k1 - 1] >> (j2 - 1) & 1
-            ):
-                adj[a].add(b)
-                adj[b].add(a)
-    return ConflictGraph(
-        vertices=tuple(vertices), adj=tuple(frozenset(a) for a in adj)
-    )
+    vertices = sorted((j, k) for k, m in enumerate(pattern.masks, 1) for j in _mask_to_rows(m))
+    rows, cols = [0] * (pattern.f + 1), [0] * (pattern.k + 1)  # cells per row / column
+    for v, (j, k) in enumerate(vertices):
+        rows[j] |= 1 << v
+        cols[k] |= 1 << v
+    # Per row: the cells of the columns missing it; per column: the cells of
+    # the rows it misses.
+    via_row, via_col = [0] * (pattern.f + 1), [0] * (pattern.k + 1)
+    for j, k in vertices:
+        via_row[j] |= cols[k]
+        via_col[k] |= rows[j]
+    adj = tuple((via_row[j] | via_col[k]) & ~(1 << v) for v, (j, k) in enumerate(vertices))
+    return ConflictGraph(vertices=tuple(vertices), adj=adj)
 
 
 def _grid_from_coloring(
@@ -90,18 +87,21 @@ def _greedy_orders(graph: ConflictGraph) -> Dict[str, Sequence[int]]:
     (ties row-major)."""
     return {
         "row_major": range(graph.n),
-        "degree_desc": sorted(range(graph.n), key=lambda v: -len(graph.adj[v])),
+        "degree_desc": sorted(range(graph.n), key=lambda v: -graph.adj[v].bit_count()),
     }
 
 
 def _first_fit(graph: ConflictGraph, order: Sequence[int]) -> List[int]:
     colors = [0] * graph.n
+    classes: List[int] = []  # vertex bitmask per color, color c at c-1
     for v in order:
-        taken = {colors[u] for u in graph.adj[v]}
-        c = 1
-        while c in taken:
+        c = 0
+        while c < len(classes) and graph.adj[v] & classes[c]:
             c += 1
-        colors[v] = c
+        if c == len(classes):
+            classes.append(0)
+        classes[c] |= 1 << v
+        colors[v] = c + 1
     return colors
 
 
@@ -136,61 +136,72 @@ class FillResult(NamedTuple):
     lower_bound: int
 
 
-class _OutOfNodes(Exception):
-    pass
-
-
 def _saturation_search(
     graph: ConflictGraph, k: int, budget: int
 ) -> Tuple[Optional[List[int]], int]:
     """Proper k-coloring via backtracking, most-saturated vertex first.
 
-    Returns (coloring or None, nodes used).  Raises _OutOfNodes when the
-    budget runs out before the question is settled.
+    Returns (coloring or None, nodes used); nodes used > budget means the
+    budget ran out before the question was settled.
     """
-    n = graph.n
+    n, adj = graph.n, graph.adj
     colors = [0] * n
-    neighbor_colors: List[set] = [set() for _ in range(n)]
-    nodes = 0
+    neighbor_colors = [0] * n  # bit c: some colored neighbor holds color c
+    # saturation * n + rank by (degree, -u), so the largest score has the
+    # largest (saturation, degree, -u); coloring a vertex sinks it below 0.
+    score = [0] * n
+    for rank, u in enumerate(sorted(range(n), key=lambda u: (adj[u].bit_count(), -u))):
+        score[u] = rank
+    sees = [0] * (k + 1)  # per color: the neighbors of the vertices holding it
+    uncolored, sink, nodes = (1 << n) - 1, n * n + n, 0
     # One frame per colored vertex, so that n is not tied to the recursion
-    # limit: the vertex, the largest color in use before it, and the
-    # uncolored neighbors its color was added to.
-    stack: List[Tuple[int, int, List[int]]] = []
-    v, c, max_used = -1, 0, 0
+    # limit: the vertex, the largest color in use before it, the uncolored
+    # neighbors its color was new to, and that color's `sees` before it.
+    stack: List[Tuple[int, int, int, int]] = []
+    c = max_used = 0
     while True:
         if c == 0:  # a new node: pick the vertex to color next
             if len(stack) == n:
                 return colors, nodes
             nodes += 1
             if nodes > budget:
-                raise _OutOfNodes()
-            v = max(
-                (u for u in range(n) if not colors[u]),
-                key=lambda u: (len(neighbor_colors[u]), len(graph.adj[u]), -u),
-            )
-        # Trying more than one fresh color only permutes names.
-        limit = min(k, max_used + 1)
-        c += 1
-        while c <= limit and c in neighbor_colors[v]:
-            c += 1
-        if c <= limit:
+                return None, nodes
+            v = score.index(max(score))
+        # Free colors above c, at most one of them fresh: more only permute names.
+        free = ((2 << min(k, max_used + 1)) - (2 << c)) & ~neighbor_colors[v]
+        if free:
+            c = (free & -free).bit_length() - 1
             colors[v] = c
-            touched = [
-                u for u in graph.adj[v] if not colors[u] and c not in neighbor_colors[u]
-            ]
-            for u in touched:
-                neighbor_colors[u].add(c)
-            stack.append((v, max_used, touched))
+            score[v] -= sink
+            uncolored ^= 1 << v
+            touched = adj[v] & uncolored & ~sees[c]
+            stack.append((v, max_used, touched, sees[c]))
+            sees[c] |= adj[v]
+            _toggle(touched, 1 << c, n, neighbor_colors, score)
             max_used, c = max(max_used, c), 0
             continue
         # Every color for v failed: undo its parent's color and try the next.
         if not stack:
             return None, nodes
-        v, max_used, touched = stack.pop()
+        v, max_used, touched, sees_before = stack.pop()
         c = colors[v]
-        for u in touched:
-            neighbor_colors[u].remove(c)
+        sees[c] = sees_before
+        _toggle(touched, 1 << c, -n, neighbor_colors, score)
         colors[v] = 0
+        score[v] += sink
+        uncolored |= 1 << v
+
+
+def _toggle(
+    touched: int, bit: int, step: int, neighbor_colors: List[int], score: List[int]
+) -> None:
+    """Flip color `bit` on each vertex of `touched`; move its score by `step`."""
+    while touched:
+        low = touched & -touched
+        u = low.bit_length() - 1
+        neighbor_colors[u] ^= bit
+        score[u] += step
+        touched ^= low
 
 
 def fill_exact(pattern: StarPattern, budget: int = DEFAULT_COLOR_BUDGET) -> FillResult:
@@ -208,28 +219,17 @@ def fill_exact(pattern: StarPattern, budget: int = DEFAULT_COLOR_BUDGET) -> Fill
     graph = build_conflict_graph(pattern)
     # A clique size, so it bounds every coloring (see the module docstring).
     lb = theorem1_exact(pattern, budget=_BOUND_BUDGET).value
-
     greedy = _greedy_coloring(graph)
     best_grid = _grid_from_coloring(pattern, graph, greedy)
     best_colors = max(greedy, default=0)
-
     remaining = budget
     for k in range(lb, best_colors):
-        try:
-            coloring, used = _saturation_search(graph, k, remaining)
-        except _OutOfNodes:
-            return FillResult(
-                grid=best_grid, colors=best_colors, optimal=False, lower_bound=lb
-            )
+        coloring, used = _saturation_search(graph, k, remaining)
+        if used > remaining:
+            return FillResult(grid=best_grid, colors=best_colors, optimal=False, lower_bound=lb)
         remaining -= used
         if coloring is not None:
-            return FillResult(
-                grid=_grid_from_coloring(pattern, graph, coloring),
-                colors=k,
-                optimal=True,
-                lower_bound=lb,
-            )
+            grid = _grid_from_coloring(pattern, graph, coloring)
+            return FillResult(grid=grid, colors=k, optimal=True, lower_bound=lb)
     # Every count below the greedy solution was refuted: greedy was optimal.
-    return FillResult(
-        grid=best_grid, colors=best_colors, optimal=True, lower_bound=lb
-    )
+    return FillResult(grid=best_grid, colors=best_colors, optimal=True, lower_bound=lb)

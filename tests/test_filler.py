@@ -1,15 +1,24 @@
 """Conflict-graph fill: edge structure, greedy vs exact coloring, and the
 optimality certificates on the worked arrays."""
 
+import collections
 import itertools
 import random
 
 import pytest
 
-from conftest import golden_grid
+from conftest import GOLDEN_PARAMS, golden_grid
 from pda_workbench import filler
 from pda_workbench.bounds import theorem1_exact
-from pda_workbench.core import STAR, PdaGrid, StarPattern, to_star_pattern, verify_pda
+from pda_workbench.constructions import partition_pda
+from pda_workbench.core import (
+    STAR,
+    PdaGrid,
+    StarPattern,
+    _mask_to_rows,
+    to_star_pattern,
+    verify_pda,
+)
 from pda_workbench.filler import (
     ConflictGraph,
     FillResult,
@@ -59,11 +68,17 @@ def brute_edges(pattern):
     return cells, edges
 
 
+def neighbors(graph, v):
+    """Vertex v's neighbor indices, decoded from its adjacency bitmask."""
+    assert 0 <= graph.adj[v] < 1 << graph.n  # no bit outside the vertices
+    return {u for u in range(graph.n) if graph.adj[v] >> u & 1}
+
+
 def graph_edges(graph):
     return {
         tuple(sorted((graph.vertices[a], graph.vertices[b])))
         for a in range(graph.n)
-        for b in graph.adj[a]
+        for b in neighbors(graph, a)
         if a < b
     }
 
@@ -71,13 +86,14 @@ def graph_edges(graph):
 def brute_chromatic(graph):
     """Smallest color count admitting a proper coloring, by plain
     backtracking.  Only meant for the tiny graphs in this file."""
+    nbrs = [neighbors(graph, v) for v in range(graph.n)]
     for k in range(1, graph.n + 1):
         colors = [0] * graph.n
 
         def feasible(v):
             if v == graph.n:
                 return True
-            taken = {colors[u] for u in graph.adj[v]}
+            taken = {colors[u] for u in nbrs[v]}
             for c in range(1, k + 1):
                 if c not in taken:
                     colors[v] = c
@@ -132,10 +148,11 @@ def test_adjacency_is_symmetric_and_irreflexive():
     rng = random.Random(89)
     for _ in range(60):
         graph = build_conflict_graph(random_pattern(rng))
-        for v, nbrs in enumerate(graph.adj):
+        for v in range(graph.n):
+            nbrs = neighbors(graph, v)
             assert v not in nbrs
             for u in nbrs:
-                assert v in graph.adj[u]
+                assert v in neighbors(graph, u)
 
 
 def test_fully_cached_pattern_has_empty_graph():
@@ -251,7 +268,7 @@ def test_ordering_witness_cells_form_a_clique():
             rows = [j for j in range(1, pattern.f + 1) if inter >> (j - 1) & 1]
             clique += [index[(j, u)] for j in rows]
         assert len(clique) == cert.value
-        assert all(b in graph.adj[a] for a, b in itertools.combinations(clique, 2))
+        assert all(b in neighbors(graph, a) for a, b in itertools.combinations(clique, 2))
 
 
 @pytest.mark.parametrize("uniform", [True, False], ids=["z-uniform", "non-uniform"])
@@ -361,3 +378,168 @@ def test_saturation_search_descends_past_the_recursion_limit():
     colors, nodes = filler._saturation_search(graph, graph.n, 10**6)
     assert sorted(colors) == list(range(1, 1101))
     assert nodes == 1100
+
+
+# ------------------------------------------- frozen set-based reference
+# The conflict graph, first fit and saturation search as they were before
+# the filler moved to bitmasks: a pair loop building neighbor sets, a
+# first fit that collects its neighbors' colors, and a search that picks
+# each vertex by max over a (saturation, degree, -u) key.  The one change
+# is that an exhausted budget returns (None, nodes) instead of raising.
+# The bitmask engine must visit the same nodes in the same order, so
+# everything it returns must match these.
+
+
+def ref_conflict_graph(pattern):
+    vertices = sorted(
+        (j, k) for k in range(1, pattern.k + 1) for j in _mask_to_rows(pattern.masks[k - 1])
+    )
+    adj = [set() for _ in vertices]
+    for a in range(len(vertices)):
+        j1, k1 = vertices[a]
+        for b in range(a + 1, len(vertices)):
+            j2, k2 = vertices[b]
+            if (
+                j1 == j2
+                or k1 == k2
+                or pattern.masks[k2 - 1] >> (j1 - 1) & 1
+                or pattern.masks[k1 - 1] >> (j2 - 1) & 1
+            ):
+                adj[a].add(b)
+                adj[b].add(a)
+    return vertices, adj
+
+
+def ref_first_fit(adj, order):
+    colors = [0] * len(adj)
+    for v in order:
+        taken = {colors[u] for u in adj[v]}
+        c = 1
+        while c in taken:
+            c += 1
+        colors[v] = c
+    return colors
+
+
+def ref_saturation_search(adj, k, budget):
+    n = len(adj)
+    colors = [0] * n
+    neighbor_colors = [set() for _ in range(n)]
+    nodes = 0
+    stack = []
+    v, c, max_used = -1, 0, 0
+    while True:
+        if c == 0:
+            if len(stack) == n:
+                return colors, nodes
+            nodes += 1
+            if nodes > budget:
+                return None, nodes
+            v = max(
+                (u for u in range(n) if not colors[u]),
+                key=lambda u: (len(neighbor_colors[u]), len(adj[u]), -u),
+            )
+        limit = min(k, max_used + 1)
+        c += 1
+        while c <= limit and c in neighbor_colors[v]:
+            c += 1
+        if c <= limit:
+            colors[v] = c
+            touched = [u for u in adj[v] if not colors[u] and c not in neighbor_colors[u]]
+            for u in touched:
+                neighbor_colors[u].add(c)
+            stack.append((v, max_used, touched))
+            max_used, c = max(max_used, c), 0
+            continue
+        if not stack:
+            return None, nodes
+        v, max_used, touched = stack.pop()
+        c = colors[v]
+        for u in touched:
+            neighbor_colors[u].remove(c)
+        colors[v] = 0
+
+
+def ref_fill(pattern, budget):
+    """fill_greedy's cells and fill_exact's (cells, colors, optimal, lower
+    bound), composed from the reference pieces as the filler composes its
+    own."""
+    vertices, adj = ref_conflict_graph(pattern)
+
+    def cells(colors):
+        grid = [[STAR] * pattern.k for _ in range(pattern.f)]
+        for (j, k), c in zip(vertices, colors):
+            grid[j - 1][k - 1] = c
+        return tuple(tuple(row) for row in grid)
+
+    greedy = min(
+        (
+            ref_first_fit(adj, range(len(adj))),
+            ref_first_fit(adj, sorted(range(len(adj)), key=lambda v: -len(adj[v]))),
+        ),
+        key=lambda colors: max(colors, default=0),
+    )
+    top = max(greedy, default=0)
+    lb = theorem1_exact(pattern, budget=filler._BOUND_BUDGET).value
+    for k in range(lb, top):
+        coloring, used = ref_saturation_search(adj, k, budget)
+        if used > budget:
+            return cells(greedy), (cells(greedy), top, False, lb)
+        budget -= used
+        if coloring is not None:
+            return cells(greedy), (cells(coloring), k, True, lb)
+    return cells(greedy), (cells(greedy), top, True, lb)
+
+
+def differential_patterns():
+    """300 seeded patterns with F, K <= 16: every other one has all users
+    missing equally many rows, the rest have independent row counts."""
+    rng = random.Random(95)
+    for i in range(300):
+        f, k = rng.randint(1, 16), rng.randint(1, 16)
+        top = rng.randint(0, f)
+        sizes = [rng.randint(0, top) for _ in range(k)] if i % 2 else [top] * k
+        yield StarPattern(f, [sum(1 << j for j in rng.sample(range(f), z)) for z in sizes])
+
+
+def test_bitmask_engine_matches_the_set_based_reference():
+    outcomes = collections.Counter()
+    for pattern in differential_patterns():
+        graph = build_conflict_graph(pattern)
+        vertices, adj = ref_conflict_graph(pattern)
+        assert list(graph.vertices) == vertices
+        assert [neighbors(graph, v) for v in range(graph.n)] == adj
+        assert graph.edge_count() == sum(map(len, adj)) // 2
+        for order in filler._greedy_orders(graph).values():
+            assert filler._first_fit(graph, order) == ref_first_fit(adj, order)
+        # k = 1..8, plus one below the greedy count, where most of the deep
+        # searches and budget cut-offs are.
+        top = max(filler._greedy_coloring(graph), default=0)
+        for k in sorted({*range(1, 9), top - 1} - {-1, 0}):
+            for budget in (1, 30, 2000):
+                got = filler._saturation_search(graph, k, budget)
+                expected = ref_saturation_search(adj, k, budget)
+                assert got == expected, (pattern, k, budget)
+                outcomes[budget, "cut" if got[1] > budget else got[0] is not None] += 1
+    # Every budget cuts searches short and finds colorings; the larger two
+    # also refute (one node refutes nothing when k >= 1).
+    seen = [(1, "cut"), (1, True)] + [(b, o) for b in (30, 2000) for o in ("cut", True, False)]
+    assert min(outcomes[key] for key in seen) >= 5, outcomes
+
+
+@pytest.mark.parametrize(
+    "pattern",
+    [pattern_of(name) for name in sorted(GOLDEN_PARAMS)]
+    + [to_star_pattern(partition_pda(3, 2)), to_star_pattern(partition_pda(4, 2))],
+    ids=sorted(GOLDEN_PARAMS) + ["partition(3,2)", "partition(4,2)"],
+)
+def test_fills_match_the_set_based_reference(pattern):
+    greedy_cells, (cells, colors, optimal, lb) = ref_fill(pattern, 5000)
+    assert fill_greedy(pattern).cells == greedy_cells
+    result = fill_exact(pattern, budget=5000)
+    assert (result.grid.cells, result.colors, result.optimal, result.lower_bound) == (
+        cells,
+        colors,
+        optimal,
+        lb,
+    )
