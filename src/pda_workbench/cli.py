@@ -404,10 +404,10 @@ def cmd_fill(args: argparse.Namespace) -> int:
     result = fill_exact(pattern, budget=args.budget)
     _write_output(args.output, format_pda(result.grid))
     note = "optimality certified" if result.optimal else "NOT proven optimal (budget)"
-    print(
-        f"exact fill: S = {result.colors} (lower bound {result.lower_bound}) — {note}",
-        file=sys.stderr,
-    )
+    bound = str(result.lower_bound)
+    if result.class_size is not None:
+        bound += f", symbol classes of at most {result.class_size}"
+    print(f"exact fill: S = {result.colors} (lower bound {bound}) — {note}", file=sys.stderr)
     return EXIT_OK if result.optimal else EXIT_BUDGET
 
 
@@ -428,12 +428,18 @@ def cmd_table(args: argparse.Namespace) -> int:
     writer = csv.writer(out)
     writer.writerow(["q", "m", "s_pda", "s_derived", "s_exact", "mu", "formula_ratio"])
     for q in q_list:
+        odd_refused = False
         for m in range(2, args.m_max + 1):
+            if odd_refused and m % 2:
+                continue
             want_exact = (m + 1) * q <= args.exact_cap
             try:
                 row = ratio_report(q, m, want_exact=want_exact)
             except ValueError as e:
-                print(f"skipping q={q}, m={m}: {e}", file=sys.stderr)
+                # Only an odd m is refused: its value needs the q^m-row
+                # array, so every larger odd m is past the row cap too.
+                print(f"skipping q={q}, m={m} and every odd m above: {e}", file=sys.stderr)
+                odd_refused = True
                 continue
             try:
                 numbers = [str(row.s_pda), str(row.s_derived)]

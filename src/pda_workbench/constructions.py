@@ -21,18 +21,26 @@ from typing import Dict, List, NamedTuple, Tuple
 
 from .core import MAX_ROWS, STAR, PdaGrid, PdaParams
 
+# Columns are capped like rows, so that no family asks for a grid of more
+# than MAX_ROWS^2 cells.
+_MAX_COLUMNS = MAX_ROWS
+
 
 def _check_partition(q: int, m: int) -> None:
     if q < 2 or m < 1:
         raise ValueError(f"need q >= 2 and m >= 1, got q={q}, m={m}")
 
 
-def _check_partition_rows(q: int, m: int) -> None:
-    """Refuse q^m rows past the cap; as q^m >= 2^m, a long m is refused
-    before the power is taken."""
+def _check_partition_shape(q: int, m: int) -> None:
+    """Refuse q^m rows or (m+1)q columns past the caps; as q^m >= 2^m, a
+    long m is refused before the power is taken."""
     _check_partition(q, m)
     if m >= MAX_ROWS.bit_length() or q ** m > MAX_ROWS:
         raise ValueError(f"q^m rows at q={q}, m={m} exceed the row cap {MAX_ROWS}")
+    if (m + 1) * q > _MAX_COLUMNS:
+        raise ValueError(
+            f"(m+1)q columns at q={q}, m={m} exceed the column cap {_MAX_COLUMNS}"
+        )
 
 
 def _check_bipartite(m: int, a: int, b: int) -> None:
@@ -40,12 +48,16 @@ def _check_bipartite(m: int, a: int, b: int) -> None:
         raise ValueError(f"need a, b >= 1 and a+b <= m, got m={m}, a={a}, b={b}")
 
 
-def _check_bipartite_rows(m: int, a: int, b: int) -> None:
-    """Refuse C(m, b) rows past the cap; as C(m, b) >= m, a large m is
-    refused before the binomial is taken."""
+def _check_bipartite_shape(m: int, a: int, b: int, h: int = 1) -> None:
+    """Refuse C(m, b) rows or h*C(m, a) columns past the caps, before any
+    cell is built; as C(m, b) >= m, a large m is refused before the
+    binomials are taken."""
     _check_bipartite(m, a, b)
     if m > MAX_ROWS or comb(m, b) > MAX_ROWS:
         raise ValueError(f"C({m},{b}) rows exceed the row cap {MAX_ROWS}")
+    if h * comb(m, a) > _MAX_COLUMNS:
+        columns = f"C({m},{a})" if h == 1 else f"{h}*C({m},{a})"
+        raise ValueError(f"{columns} columns exceed the column cap {_MAX_COLUMNS}")
 
 
 def residue_q(x: int, q: int) -> int:
@@ -113,7 +125,7 @@ def partition_pda(q: int, m: int) -> PdaGrid:
     exactly once per coordinate group -- m+1 occurrences in total.  Symbols
     are relabelled to dense ids by first appearance in row-major order.
     """
-    _check_partition_rows(q, m)
+    _check_partition_shape(q, m)
     rows = partition_rows(q, m)
     cols = partition_columns(q, m)
     ids: Dict[Tuple[int, ...], int] = {}
@@ -136,7 +148,7 @@ class PartitionSpec(NamedTuple):
 
     def expected_params(self) -> PdaParams:
         q, m = self.q, self.m
-        _check_partition_rows(q, m)
+        _check_partition_shape(q, m)
         return PdaParams(k=(m + 1) * q, f=q ** m, z=q ** (m - 1), s=(q - 1) * q ** m)
 
     def build(self) -> PdaGrid:
@@ -159,7 +171,7 @@ def bipartite_pda(m: int, a: int, b: int) -> PdaGrid:
     overlapping pairs are starred.  a+b = m is allowed and degenerates to a
     single symbol.
     """
-    _check_bipartite_rows(m, a, b)
+    _check_bipartite_shape(m, a, b)
     union_rank = {d: i + 1 for i, d in enumerate(subsets(m, a + b))}
     cols = subsets(m, a)
     cells = []
@@ -190,6 +202,7 @@ def grouping_pda(m: int, a: int, b: int, h: int) -> PdaGrid:
     """
     if h < 1:
         raise ValueError(f"need h >= 1, got {h}")
+    _check_bipartite_shape(m, a, b, h)
     base = bipartite_pda(m, a, b)
     shift = comb(m, a + b)
     cells = []
@@ -209,7 +222,7 @@ class BipartiteSpec(NamedTuple):
 
     def expected_params(self) -> PdaParams:
         m, a, b, h = self.m, self.a, self.b, self.h
-        _check_bipartite_rows(m, a, b)
+        _check_bipartite_shape(m, a, b, h)
         return PdaParams(
             k=h * comb(m, a),
             f=comb(m, b),

@@ -4,27 +4,44 @@ Fix the stars and ask for the cheapest symbol assignment on the remaining
 cells.  Two cells can share a symbol only if they sit in distinct rows and
 columns and their two cross cells are both stars, so legal assignments are
 exactly the proper colorings of a *conflict graph* on the non-star cells —
-and the minimum symbol count is its chromatic number.  The graph keeps one
-neighbor bitmask per cell, so a vertex-set test is one big-int operation.
+and the minimum symbol count is its chromatic number.  (In graph terms it
+is the strong chromatic index of the bipartite rows–users graph of the
+uncached cells: Yan et al., "Placement delivery array design through
+strong edge coloring of bipartite graphs", IEEE Commun. Lett., 2018.)
+The graph keeps one neighbor bitmask per cell, so a vertex-set test is one
+big-int operation.
 
 `fill_greedy` colors first-fit in two vertex orders, row-major and most
 neighbors first, and keeps the better (fast, no optimality claim).
-`fill_exact` starts from that coloring and finds the chromatic number by
-trying k = LB, LB+1, ... with a backtracking search that colors the most
-saturated vertex next (DSATUR order, Brélaz 1979), updating per vertex a
-score and a neighbor-color bitmask, and per color a neighbor bitmask.
-The lower bound LB is the ordering bound on the same pattern, and it is a
-clique bound: along any user ordering, the cells (j, i_h) with j in the
-running intersection I_h are pairwise in conflict (two of them share a row
-or a column, or the later one's row lies in I_h, so its cross cell in
-column i_h is uncached).  Each ordering's value, the truncated bound's
-fallback included, is thus the size of a clique, which lets the search
-start high and certify optimality early.
+`fill_exact` starts from that coloring and proves its answer with two
+lower bounds:
+
+* The ordering bound S* on the same pattern is a clique bound: along any
+  user ordering, the cells (j, i_h) with j in the running intersection I_h
+  are pairwise in conflict (two of them share a row or a column, or the
+  later one's row lies in I_h, so its cross cell in column i_h is
+  uncached).  Each ordering's value, the truncated bound's fallback
+  included, is thus the size of a clique.
+* The symbol-class bound: a symbol class, the cells one symbol may take,
+  is an independent set of the graph, so if no class has more than alpha
+  cells every fill of the n cells needs ceil(n / alpha) symbols.  It runs
+  only when greedy stops above S*: a branch and bound finds alpha, bounded
+  by the distinct rows and columns among its candidates, and stops as soon
+  as a class is too large for the bound to beat S*.  When alpha divides n,
+  a fill with n / alpha symbols is an exact cover of the cells by
+  alpha-classes, which Algorithm X (Knuth, "Dancing Links", 2000) finds or
+  refutes.  On the partition family this certifies the construction's S,
+  which S* alone cannot.
+
+Past the bounds, `fill_exact` finds the chromatic number by trying k = LB,
+LB+1, ... with a backtracking search that colors the most saturated vertex
+next (DSATUR order, Brélaz 1979), updating per vertex a score and a
+neighbor-color bitmask, and per color a neighbor bitmask.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .bounds import theorem1_exact
 from .core import STAR, PdaGrid, StarPattern, _mask_to_rows
@@ -128,12 +145,16 @@ def fill_greedy(pattern: StarPattern) -> PdaGrid:
 class FillResult(NamedTuple):
     """Outcome of an exact fill: the grid, its symbol count, and the proof
     state (optimal=True means the search closed the gap to lower_bound or
-    exhausted every smaller color count)."""
+    exhausted every smaller color count).  class_size names the bound that
+    binds: None for the ordering bound, else alpha, the most cells a
+    symbol class can hold, for the symbol-class bound ceil(n / alpha) (one
+    more when alpha divides n and no exact cover by alpha-classes exists)."""
 
     grid: PdaGrid
     colors: int
     optimal: bool
     lower_bound: int
+    class_size: Optional[int] = None
 
 
 def _saturation_search(
@@ -204,15 +225,142 @@ def _toggle(
         touched ^= low
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """The indices of the set bits of `mask`, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _classes_of_size(
+    graph: ConflictGraph, size: int, limit: Optional[int], budget: int
+) -> Tuple[List[int], int]:
+    """Up to `limit` (None: all) symbol classes of `size` cells each.
+
+    A symbol class is an independent set of the conflict graph, as a vertex
+    bitmask.  It holds at most one cell per row and per column, so a node
+    is cut when its candidates span fewer rows or fewer columns than the
+    cells it still wants.  Otherwise it branches on a line of the scarcer
+    kind (rows or columns), the one with the fewest candidates: one of its
+    cells joins the class, or none does.  Every class of `size` cells is
+    found once.  Returns (classes, nodes used); nodes used > budget means
+    the budget ran out first.
+    """
+    rows: Dict[int, int] = {}  # cell bitmask per row and per column
+    cols: Dict[int, int] = {}
+    for v, (j, k) in enumerate(graph.vertices):
+        rows[j] = rows.get(j, 0) | 1 << v
+        cols[k] = cols.get(k, 0) | 1 << v
+    found: List[int] = []
+    nodes = 0
+    # (class so far, cells it still wants, candidates compatible with it)
+    stack = [(0, size, (1 << graph.n) - 1)]
+    while stack:
+        chosen, want, cand = stack.pop()
+        if not want:
+            found.append(chosen)
+            if len(found) == limit:
+                break
+            continue
+        nodes += 1
+        if nodes > budget:
+            break
+        row_cands = [m & cand for m in rows.values() if m & cand]
+        col_cands = [m & cand for m in cols.values() if m & cand]
+        lines = min(row_cands, col_cands, key=len)
+        if len(lines) < want:
+            continue
+        line = min(lines, key=int.bit_count)
+        stack.append((chosen, want, cand & ~line))
+        for u in _bits(line):
+            stack.append((chosen | 1 << u, want - 1, cand & ~graph.adj[u] & ~(1 << u)))
+    return found, nodes
+
+
+def _symbol_classes(
+    graph: ConflictGraph, lb: int, colors: int, budget: int
+) -> Tuple[int, List[int], int]:
+    """Bound the largest symbol class alpha, and list the alpha-classes when
+    a cover by them could beat `colors`.
+
+    Sizes are tried downward from cap + 1, where cap = (n - 1) // lb is the
+    largest alpha with ceil(n / alpha) > lb.  Finding a class of cap + 1
+    cells ends the search, since the bound cannot then beat lb; finding
+    none of size t + 1 proves alpha <= t.  Returns (a proven upper bound
+    on alpha, every alpha-class if alpha <= cap divides n and n / alpha <
+    colors or else none, nodes used); nodes used > budget means the budget
+    ran out first, and the bound is what was proven by then.
+    """
+    n = graph.n
+    # At most one cell per row and per column.
+    alpha = min(len({j for j, _ in graph.vertices}), len({k for _, k in graph.vertices}))
+    cap, nodes = (n - 1) // lb, 0
+    for size in range(min(alpha, cap + 1), 0, -1):
+        cover = size <= cap and n % size == 0 and n // size < colors
+        classes, used = _classes_of_size(graph, size, None if cover else 1, budget - nodes)
+        nodes += used
+        if nodes > budget or (classes and size > cap):
+            break
+        if classes:
+            return size, classes if cover else [], nodes
+        alpha = size - 1
+    return alpha, [], nodes
+
+
+def _exact_cover(
+    n: int, classes: Sequence[int], budget: int
+) -> Tuple[Optional[List[int]], int]:
+    """Disjoint members of `classes` (vertex bitmasks) that cover all n
+    cells, by Algorithm X (Knuth, "Dancing Links", 2000) on bitmasks: each
+    node branches on the uncovered cell that the fewest usable classes hold.
+
+    Returns (the cover or None, nodes used); nodes used > budget means the
+    budget ran out first.
+    """
+    holders = [0] * n  # per cell: the classes that hold it, bit i = classes[i]
+    for i, cls in enumerate(classes):
+        for v in _bits(cls):
+            holders[v] |= 1 << i
+    meets = [0] * len(classes)  # per class: the classes sharing a cell with it
+    for i, cls in enumerate(classes):
+        for v in _bits(cls):
+            meets[i] |= holders[v]
+    nodes = 0
+    # (uncovered cells, classes disjoint from the cover so far, the cover)
+    stack = [((1 << n) - 1, (1 << len(classes)) - 1, 0)]
+    while stack:
+        left, usable, cover = stack.pop()
+        if not left:
+            return [classes[i] for i in _bits(cover)], nodes
+        nodes += 1
+        if nodes > budget:
+            return None, nodes
+        options, fewest = 0, len(classes) + 1
+        for v in _bits(left):
+            held = holders[v] & usable
+            if held.bit_count() < fewest:
+                options, fewest = held, held.bit_count()
+                if not fewest:
+                    break
+        for i in _bits(options):
+            stack.append((left & ~classes[i], usable & ~meets[i], cover | 1 << i))
+    return None, nodes
+
+
 def fill_exact(pattern: StarPattern, budget: int = DEFAULT_COLOR_BUDGET) -> FillResult:
     """Minimum-symbol fill with an optimality verdict.
 
     The conflict graph is built once; the `fill_greedy` coloring on it is
-    the starting upper bound.  Color counts are tried upward from the lower
-    bound; the first feasible count is the chromatic number provided every
-    smaller count was refuted within `budget` search nodes.  On budget
-    exhaustion the greedy grid comes back with optimal=False.  A negative
-    budget raises ValueError.
+    the starting upper bound, and the ordering bound the starting lower
+    bound.  While they differ, the symbol-class stage bounds the largest
+    class alpha, raises the lower bound to ceil(n / alpha), and, when alpha
+    divides n, looks for an exact cover by alpha-classes, which is a fill
+    at the bound (its absence raises the bound by one).  Color counts are
+    then tried upward from the lower bound; the first feasible count is the
+    chromatic number.  All stages share `budget` search nodes; when it runs
+    out the greedy grid comes back with optimal=False.  A negative budget
+    raises ValueError.
     """
     if budget < 0:
         raise ValueError(f"need a budget of at least 0 search nodes, got {budget}")
@@ -220,16 +368,34 @@ def fill_exact(pattern: StarPattern, budget: int = DEFAULT_COLOR_BUDGET) -> Fill
     # A clique size, so it bounds every coloring (see the module docstring).
     lb = theorem1_exact(pattern, budget=_BOUND_BUDGET).value
     greedy = _greedy_coloring(graph)
-    best_grid = _grid_from_coloring(pattern, graph, greedy)
-    best_colors = max(greedy, default=0)
-    remaining = budget
-    for k in range(lb, best_colors):
+    top = max(greedy, default=0)
+    remaining, class_size = budget, None  # remaining < 0: the budget ran out
+    if top > lb:
+        alpha, classes, used = _symbol_classes(graph, lb, top, remaining)
+        remaining -= used
+        if -(-graph.n // alpha) > lb:
+            lb, class_size = -(-graph.n // alpha), alpha
+        if classes:
+            cover, used = _exact_cover(graph.n, classes, remaining)
+            remaining -= used
+            if cover is not None:
+                colors = [0] * graph.n
+                # Symbols by first appearance in row-major order.
+                for c, cls in enumerate(sorted(cover, key=lambda cls: cls & -cls), 1):
+                    for v in _bits(cls):
+                        colors[v] = c
+                grid = _grid_from_coloring(pattern, graph, colors)
+                return FillResult(grid, lb, optimal=True, lower_bound=lb, class_size=class_size)
+            if remaining >= 0:  # no fill has n / alpha symbols
+                lb += 1
+    for k in range(lb, top):
+        if remaining < 0:
+            break
         coloring, used = _saturation_search(graph, k, remaining)
-        if used > remaining:
-            return FillResult(grid=best_grid, colors=best_colors, optimal=False, lower_bound=lb)
         remaining -= used
         if coloring is not None:
             grid = _grid_from_coloring(pattern, graph, coloring)
-            return FillResult(grid=grid, colors=k, optimal=True, lower_bound=lb)
-    # Every count below the greedy solution was refuted: greedy was optimal.
-    return FillResult(grid=best_grid, colors=best_colors, optimal=True, lower_bound=lb)
+            return FillResult(grid, k, optimal=True, lower_bound=lb, class_size=class_size)
+    # Unless the budget ran out, every count below the greedy one was refuted.
+    grid = _grid_from_coloring(pattern, graph, greedy)
+    return FillResult(grid, top, optimal=remaining >= 0, lower_bound=lb, class_size=class_size)

@@ -320,6 +320,41 @@ def test_family_shapes_past_the_row_cap_are_refused_at_once(run, argv, message):
     assert err == f"error: {message} exceed the row cap 4096\n"
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (
+            ["construct", "grouping", "--m", "4", "--a", "1", "--b", "2", "--h", "1000000000"],
+            "1000000000*C(4,1) columns",
+        ),
+        (["construct", "bipartite", "--m", "20", "--a", "10", "--b", "1"], "C(20,10) columns"),
+        (["construct", "partition", "--q", "4096", "--m", "1"], "(m+1)q columns at q=4096, m=1"),
+        (
+            ["bound", "--method", "ordered:bipartite", "--m", "20", "--a", "10", "--b", "1"],
+            "C(20,10) columns",
+        ),
+    ],
+    ids=["construct-grouping", "construct-bipartite", "construct-partition", "bound-bipartite"],
+)
+def test_family_shapes_past_the_column_cap_are_refused_at_once(run, argv, message):
+    # Refused from the closed-form column count, before any cell is built:
+    # the grouping line would ask for about 6 * 4 * 10^9 cells.
+    start = time.perf_counter()
+    code, out, err = run(argv, stdin=grid_text("GRID_K6_F4_Z2"))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"error: {message} exceed the column cap 4096\n"
+
+
+def test_a_family_at_the_column_cap_is_built(run):
+    code, out, err = run(
+        ["construct", "grouping", "--m", "4", "--a", "1", "--b", "2", "--h", "1024"]
+    )
+    assert code == EXIT_OK
+    assert "K=4096 F=6" in err
+    assert parse_pda(out).k == 4096
+
+
 def test_bound_unknown_method_is_usage(run):
     code, _, err = run(
         ["bound", "--method", "psychic"], stdin=grid_text("GRID_K6_F4_Z2")
@@ -679,6 +714,20 @@ def test_fill_budget_truncation_exits_three(run, tmp_path):
     assert verify_pda(parse_pda(out)).valid
 
 
+def test_fill_names_the_symbol_class_bound_when_it_binds(run):
+    # The ordering bound is 45 here; classes of at most 3 cells give 48,
+    # which the construction meets.
+    code, out, err = run(["fill", "--budget", "5000"], stdin=format_pda(partition_pda(4, 2)))
+    assert code == EXIT_OK
+    assert err == (
+        "exact fill: S = 48 (lower bound 48, symbol classes of at most 3)"
+        " — optimality certified\n"
+    )
+    grid = parse_pda(out)
+    assert verify_pda(grid).valid
+    assert to_star_pattern(grid) == to_star_pattern(partition_pda(4, 2))
+
+
 @pytest.mark.parametrize("method", ["exact", "greedy"])
 def test_fill_rejects_a_placement_with_unequal_star_counts(run, method):
     # user 1 leaves two rows uncached, user 2 three: no fill meets C1
@@ -743,6 +792,23 @@ def test_table_skips_shapes_it_cannot_evaluate(run):
     lines = out.splitlines()
     assert any(line.startswith("3,8,") for line in lines)
     assert not any(line.startswith("3,9,") for line in lines)
+
+
+def test_table_reports_the_refused_odd_m_once_per_q(run):
+    # Odd m needs the q^m-row array: q=10 is refused from m=5 on, q=3 from
+    # m=9 on.  Each q gets one stderr line, and its even rows all stay.
+    code, out, err = run(["table", "--q-list", "10,3", "--m-max", "40", "--exact-cap", "0"])
+    assert code == EXIT_OK
+    assert err.splitlines() == [
+        "skipping q=10, m=5 and every odd m above:"
+        " q^m rows at q=10, m=5 exceed the row cap 4096",
+        "skipping q=3, m=9 and every odd m above:"
+        " q^m rows at q=3, m=9 exceed the row cap 4096",
+    ]
+    shapes = [tuple(line.split(",")[:2]) for line in out.splitlines()[1:]]
+    assert shapes == [("10", str(m)) for m in (2, 3, *range(4, 41, 2))] + [
+        ("3", str(m)) for m in (*range(2, 9), *range(10, 41, 2))
+    ]
 
 
 @pytest.mark.skipif(

@@ -2,8 +2,11 @@
 optimality certificates on the worked arrays."""
 
 import collections
+import functools
 import itertools
+import operator
 import random
+import time
 
 import pytest
 
@@ -380,6 +383,209 @@ def test_saturation_search_descends_past_the_recursion_limit():
     assert nodes == 1100
 
 
+# ------------------------------------------------------- symbol classes
+
+
+def brute_classes(pattern):
+    """Every nonempty set of pairwise compatible uncached cells (a symbol
+    class), as sorted tuples of indices into `brute_edges`' cells, grown
+    one cell at a time from the sharing rule itself."""
+    cells, edges = brute_edges(pattern)
+    classes, frontier = [], [()]
+    while frontier:
+        cls = frontier.pop()
+        if cls:
+            classes.append(cls)
+        for b in range(cls[-1] + 1 if cls else 0, len(cells)):
+            if all((cells[a], cells[b]) not in edges for a in cls):
+                frontier.append(cls + (b,))
+    return classes
+
+
+def class_patterns():
+    """200 seeded patterns with F <= 6 and K <= 5: every other one has all
+    users missing equally many rows, the rest have independent row counts."""
+    rng = random.Random(96)
+    for i in range(200):
+        if i % 2:
+            yield random_pattern(rng, f_max=6, k_max=5)
+        else:
+            f, k = rng.randint(2, 6), rng.randint(2, 5)
+            z = rng.randint(0, f)
+            masks = [sum(1 << j for j in rng.sample(range(f), f - z)) for _ in range(k)]
+            yield StarPattern(f, masks)
+
+
+def as_mask(cls):
+    return sum(1 << v for v in cls)
+
+
+def test_class_search_finds_exactly_the_brute_force_classes():
+    sizes = collections.Counter()
+    for pattern in class_patterns():
+        graph = build_conflict_graph(pattern)
+        classes = brute_classes(pattern)
+        alpha = max(map(len, classes), default=0)
+        for size in range(1, alpha + 2):
+            expected = sorted(as_mask(c) for c in classes if len(c) == size)
+            found, nodes = filler._classes_of_size(graph, size, None, 10**6)
+            assert sorted(found) == expected, (pattern, size)
+            assert nodes <= 10**6
+            if expected:
+                first, _ = filler._classes_of_size(graph, size, 1, 10**6)
+                assert len(first) == 1 and first[0] in expected
+        sizes[len({p.bit_count() for p in pattern.masks}) > 1, alpha] += 1
+    # Both kinds of pattern, and largest classes from 1 to 4 cells.
+    assert {a for _, a in sizes} >= {1, 2, 3, 4} and {u for u, _ in sizes} == {True, False}
+
+
+# Frozen from seeded scans: patterns where ceil(n / alpha) beats the
+# ordering bound, with and without a cover by alpha-classes, and the
+# partition(3,2) pattern.
+CLASS_BOUND_BINDS = [
+    StarPattern(4, (10, 5, 6, 9)),
+    StarPattern(4, (9, 12, 3, 12, 6, 3)),
+    StarPattern(7, (10, 9, 80, 33, 34)),
+    StarPattern(5, (12, 5, 3, 17, 20, 18, 10)),
+    StarPattern(6, (60, 57, 15, 39, 27, 46)),
+    to_star_pattern(partition_pda(3, 2)),
+]
+
+
+def test_symbol_classes_bound_the_largest_class():
+    # At the ordering bound itself the class stage rarely binds on small
+    # random patterns, so each pattern also runs with lb = 1, where every
+    # size from the root bound down to alpha is refuted or listed.
+    stages = collections.Counter()
+    for pattern in [*class_patterns(), *CLASS_BOUND_BINDS]:
+        graph = build_conflict_graph(pattern)
+        if not graph.n:
+            continue
+        classes = brute_classes(pattern)
+        alpha = max(map(len, classes))
+        largest = sorted(as_mask(c) for c in classes if len(c) == alpha)
+        top = max(filler._greedy_coloring(graph))
+        for lb in sorted({1, theorem1_exact(pattern).value}):
+            bound, listed, nodes = filler._symbol_classes(graph, lb, top, 10**6)
+            assert nodes <= 10**6
+            assert bound >= alpha
+            cap = (graph.n - 1) // lb
+            if alpha <= cap:
+                # Every larger size was refuted, so the bound is alpha itself.
+                assert bound == alpha
+                stages["binds"] += 1
+            else:
+                # A class of cap + 1 cells ends the search at the root bound.
+                rows = len({j for j, _ in graph.vertices})
+                assert bound == min(rows, len({k for _, k in graph.vertices}))
+                assert -(-graph.n // bound) <= lb
+            wanted = alpha <= cap and graph.n % alpha == 0 and graph.n // alpha < top
+            assert sorted(listed) == (largest if wanted else [])
+            stages["listed"] += bool(listed)
+    assert stages["binds"] >= 100 and stages["listed"] >= 10, stages
+
+
+def test_class_bound_never_exceeds_the_chromatic_number():
+    checked = 0
+    for pattern in class_patterns():
+        graph = build_conflict_graph(pattern)
+        if not 0 < graph.n <= 8:  # brute_chromatic's time explodes past 8 cells
+            continue
+        alpha = max(map(len, brute_classes(pattern)))
+        chi = brute_chromatic(graph)
+        assert -(-graph.n // alpha) <= chi
+        result = fill_exact(pattern)
+        assert result.optimal and result.colors == chi
+        assert result.lower_bound <= chi
+        checked += 1
+    assert checked >= 100
+
+
+def test_every_exact_cover_is_a_valid_fill():
+    covers = refuted = 0
+    for pattern in class_patterns():
+        graph = build_conflict_graph(pattern)
+        classes = brute_classes(pattern)
+        if not classes:
+            continue
+        alpha = max(map(len, classes))
+        if graph.n % alpha:
+            continue
+        largest = [as_mask(c) for c in classes if len(c) == alpha]
+        cover, nodes = filler._exact_cover(graph.n, largest, 10**6)
+        assert nodes <= 10**6
+        if cover is None:
+            if graph.n <= 8:
+                assert brute_chromatic(graph) > graph.n // alpha
+            refuted += 1
+            continue
+        covers += 1
+        assert set(cover) <= set(largest)
+        assert sum(cover) == (1 << graph.n) - 1 == functools.reduce(operator.or_, cover)
+        colors = [0] * graph.n
+        for c, cls in enumerate(cover, 1):
+            for v in range(graph.n):
+                if cls >> v & 1:
+                    colors[v] = c
+        grid = filler._grid_from_coloring(pattern, graph, colors)
+        assert to_star_pattern(grid) == pattern
+        if pattern.uniform_z() is not None:
+            assert verify_pda(grid).valid
+    assert covers >= 20 and refuted >= 5, (covers, refuted)
+
+
+@pytest.mark.parametrize("q,m,s", [(3, 2, 18), (4, 2, 48), (3, 3, 54), (5, 2, 100)])
+def test_partition_fills_are_certified_by_symbol_classes(q, m, s):
+    # The ordering bound stops below S on each (17, 45, 51, 90), and the
+    # saturation search alone cannot close the gap; classes of at most
+    # m + 1 cells and an exact cover by them certify the construction's S.
+    grid = partition_pda(q, m)
+    pattern = to_star_pattern(grid)
+    start = time.perf_counter()
+    result = fill_exact(pattern, budget=5000)
+    assert time.perf_counter() - start < 1.0
+    assert (result.colors, result.optimal, result.lower_bound) == (s, True, s)
+    assert result.class_size == m + 1
+    assert theorem1_exact(pattern).value < s
+    assert verify_pda(result.grid).valid
+    assert to_star_pattern(result.grid) == pattern
+
+
+def test_a_refuted_cover_raises_the_bound_by_one():
+    # Frozen from a seeded scan: 24 cells, classes of at most 2, ordering
+    # bound 11, and no cover by 12 classes, so 13 symbols are needed.  The
+    # frozen set-based search below refutes 12 and fills 13 on its own.
+    pattern = StarPattern(6, (60, 57, 15, 39, 27, 46))
+    graph = build_conflict_graph(pattern)
+    assert (graph.n, theorem1_exact(pattern).value) == (24, 11)
+    assert max(map(len, brute_classes(pattern))) == 2
+    result = fill_exact(pattern)
+    assert (result.colors, result.optimal, result.lower_bound, result.class_size) == (
+        13,
+        True,
+        13,
+        2,
+    )
+    assert verify_pda(result.grid).valid
+    _, adj = ref_conflict_graph(pattern)
+    assert ref_saturation_search(adj, 12, 10**6)[0] is None
+    assert ref_saturation_search(adj, 13, 10**6)[0] is not None
+
+
+def test_a_cut_short_class_stage_keeps_what_it_proved():
+    pattern = to_star_pattern(partition_pda(4, 2))
+    graph = build_conflict_graph(pattern)
+    # Nothing proved: the ordering bound stands.
+    zero = fill_exact(pattern, budget=0)
+    assert (zero.colors, zero.optimal, zero.lower_bound, zero.class_size) == (81, False, 45, None)
+    # No class of 4 cells, then the budget ends while listing the 3-classes.
+    _, refute = filler._classes_of_size(graph, 4, 1, 10**6)
+    cut = fill_exact(pattern, budget=refute + 10)
+    assert (cut.colors, cut.optimal, cut.lower_bound, cut.class_size) == (81, False, 48, 3)
+    assert verify_pda(cut.grid).valid
+    assert to_star_pattern(cut.grid) == pattern
+
+
 # ------------------------------------------- frozen set-based reference
 # The conflict graph, first fit and saturation search as they were before
 # the filler moved to bitmasks: a pair loop building neighbor sets, a
@@ -527,16 +733,33 @@ def test_bitmask_engine_matches_the_set_based_reference():
     assert min(outcomes[key] for key in seen) >= 5, outcomes
 
 
+# The three cases where the symbol-class stage certifies the construction's
+# S, which the reference's ordering bound (17 on partition(3,2), 45 on
+# partition(4,2), where the reference ends unproven at 81) cannot.
+CERTIFIED_BY_CLASSES = {"PARTITION_Q3_M2": 18, "partition(3,2)": 18, "partition(4,2)": 48}
+REFERENCE_CASES = {name: pattern_of(name) for name in sorted(GOLDEN_PARAMS)}
+REFERENCE_CASES["partition(3,2)"] = to_star_pattern(partition_pda(3, 2))
+REFERENCE_CASES["partition(4,2)"] = to_star_pattern(partition_pda(4, 2))
+
+
 @pytest.mark.parametrize(
-    "pattern",
-    [pattern_of(name) for name in sorted(GOLDEN_PARAMS)]
-    + [to_star_pattern(partition_pda(3, 2)), to_star_pattern(partition_pda(4, 2))],
-    ids=sorted(GOLDEN_PARAMS) + ["partition(3,2)", "partition(4,2)"],
+    "pattern,certified",
+    [(p, CERTIFIED_BY_CLASSES.get(name)) for name, p in REFERENCE_CASES.items()],
+    ids=list(REFERENCE_CASES),
 )
-def test_fills_match_the_set_based_reference(pattern):
+def test_fills_match_the_set_based_reference(pattern, certified):
     greedy_cells, (cells, colors, optimal, lb) = ref_fill(pattern, 5000)
     assert fill_greedy(pattern).cells == greedy_cells
     result = fill_exact(pattern, budget=5000)
+    if certified is not None:
+        assert (result.colors, result.optimal, result.lower_bound) == (
+            certified,
+            True,
+            certified,
+        )
+        assert verify_pda(result.grid).valid
+        assert to_star_pattern(result.grid) == pattern
+        return
     assert (result.grid.cells, result.colors, result.optimal, result.lower_bound) == (
         cells,
         colors,
