@@ -15,21 +15,20 @@ user which rows it caches and which signal and cancellation terms serve
 the rest) is built once per array and memoised by grid content.  Only
 the payloads depend on the demand.  For one demand, delivery XORs each
 symbol's packets, and decoding XORs each signal with the cancellation
-terms taken from the user's own cache, one integer fold per signal or cell.
+terms taken from the user's own cache, one fold of packet bytes
+(`_xor_fold`) per signal or cell.
 A sweep does the same for a block of demands (32 KB of one packet each) at
 once: a term's lane joins W[d_k, j] of every demand of the block into one
 integer, demand b in bytes [b L, (b + 1) L), so each XOR and comparison is
 one big-int operation per term per block.  Lanes live for one symbol.
 
-Every packet of a library is converted to a little-endian integer once,
-memoised by library content like the schedule: one int per packet, for
-up to 8 libraries, which the memo also keeps alive.  Building it checks
-every packet's length, so a library with a wrong-length packet is refused
-on any delivery.  Delivery folds those ints.  Decoding uses a packet's int
-(a sweep, a term's library lane) only when the cache entries are the
-library's own packet objects, which is what `place` stores; any other
-entry is length-checked and converted from its own bytes, so a user still
-decodes from its cache alone.
+Nothing memoises the payloads: the caches share the library's packet
+objects, and a fold converts each packet when it reads it.  Every packet
+a fold reads is length-checked, so delivery refuses a wrong-length packet
+it broadcasts, decoding a wrong-length payload or cancellation term, and
+a sweep, which reads whole rows into its lanes, any wrong-length packet
+of the library before its first block.  Decoding reads the user's cache
+alone and compares each joined file with the library's bytes.
 
 XOR over raw bytes stands in for the unspecified field: GF(2) suffices for
 one-shot decoding.  Payloads come from a seeded generator so transcripts
@@ -39,6 +38,7 @@ are reproducible.
 from __future__ import annotations
 
 import random
+import sys
 import time
 from collections import namedtuple
 from fractions import Fraction
@@ -51,6 +51,7 @@ from .core import STAR, PdaGrid, pda_params
 
 DEFAULT_PACKET_LEN = 64
 _MAX_PACKET_LEN = (1 << 28) - 1  # randbytes on Python 3.11 draws 8 * len bits via a C int
+_MAX_LIBRARY_BYTES = 1 << 31  # N*F packets, each with its bytes header and a tuple slot
 _BLOCK_BYTES = 1 << 15  # a sweep block holds max(1, this // packet_len) demands
 
 Cache = Dict[Tuple[int, int], bytes]  # (file n, row j) -> packet
@@ -101,6 +102,12 @@ class FileLibrary(NamedTuple):
             raise ValueError("need n, f, packet_len >= 1")
         if packet_len > _MAX_PACKET_LEN:
             raise ValueError(f"packet_len must be at most {_MAX_PACKET_LEN}, got {packet_len}")
+        size = n * f * (packet_len + sys.getsizeof(b"") + 8)
+        if size > _MAX_LIBRARY_BYTES:
+            raise ValueError(
+                f"a library of {n} files of {f} packets of {packet_len} bytes takes about"
+                f" {size} bytes in memory, more than {_MAX_LIBRARY_BYTES}"
+            )
         rng = random.Random(seed)
         packets = tuple(
             tuple(rng.randbytes(packet_len) for _ in range(f))
@@ -176,14 +183,6 @@ def place(grid: PdaGrid, lib: FileLibrary) -> List[Cache]:
     return caches
 
 
-@lru_cache(maxsize=8)
-def _library_ints(lib: FileLibrary) -> Tuple[Tuple[int, ...], ...]:
-    """Every packet as a little-endian int, [file-1][row-1]; each packet's
-    length is checked once here."""
-    n = lib.packet_len
-    return tuple(tuple(_xor_fold((p,), n) for p in packets) for packets in lib.packets)
-
-
 class _Schedule(NamedTuple):
     """Everything delivery and decoding need of one array, whatever the demand."""
 
@@ -233,14 +232,10 @@ def deliver(grid: PdaGrid, lib: FileLibrary, d: Sequence[int]) -> DeliveryTransc
         raise ValueError(
             f"symbol {schedule.repeated} repeats a row or column; not a valid array"
         )
-    ints = _library_ints(lib)
-    wanted = [ints[n - 1] for n in d]  # wanted[k - 1][j - 1] is W_{d_k, j}
     n = lib.packet_len
     signals = []
     for s, terms in schedule.symbols:
-        payload = 0
-        for k, j in terms:
-            payload ^= wanted[k - 1][j - 1]
+        payload = _xor_fold((lib.packet(d[k - 1], j) for k, j in terms), n)
         signals.append(Signal(id=s, terms=terms, payload=payload.to_bytes(n, "little")))
     return DeliveryTranscript(
         demand=d, signals=tuple(signals), decode_log=schedule.decode_log.copy()
@@ -271,45 +266,24 @@ def decode(
     """
     d = _check_demand(grid, lib, d)
     n = lib.packet_len
-    ints = _library_ints(lib)
     payload_of = {s.id: _xor_fold((s.payload,), n) for s in transcript.signals}
     files: List[bytes] = []
-    ok = True
     for k, rows in enumerate(_schedule(grid).rows, start=1):
         cache = caches[k - 1]
         want = d[k - 1]
-        own, own_ints = lib.packets[want - 1], ints[want - 1]
         parts: List[bytes] = []
-        exact = True  # every part equals the library's packet so far
         for j, entry in enumerate(rows, start=1):
             if entry is None:
-                part = cache[(want, j)]
-                exact = exact and part == own[j - 1]
-                parts.append(part)
+                parts.append(cache[(want, j)])
                 continue
             sid, others = entry
-            value = payload_of[sid]
-            foreign = None  # cached terms that are not the library's own objects
-            for k2, j2 in others:
-                n2 = d[k2 - 1]
-                try:
-                    term = cache[(n2, j2)]
-                except KeyError:
-                    raise DecodeError(signal=sid, user=k, row=j) from None
-                if term is lib.packets[n2 - 1][j2 - 1]:
-                    value ^= ints[n2 - 1][j2 - 1]
-                elif foreign is None:
-                    foreign = [term]
-                else:
-                    foreign.append(term)
-            if foreign is not None:
-                value ^= _xor_fold(foreign, n)
-            exact = exact and value == own_ints[j - 1]
-            parts.append(value.to_bytes(n, "little"))
+            try:  # every term is looked up before any is length-checked
+                terms = [cache[(d[k2 - 1], j2)] for k2, j2 in others]
+            except KeyError:
+                raise DecodeError(signal=sid, user=k, row=j) from None
+            parts.append((payload_of[sid] ^ _xor_fold(terms, n)).to_bytes(n, "little"))
         files.append(b"".join(parts))
-        # Parts that all match prove the file; otherwise compare the bytes,
-        # since cached parts of other lengths may still join to the file.
-        ok = ok and (exact or files[-1] == lib.file_bytes(want))
+    ok = all(file == lib.file_bytes(want) for file, want in zip(files, d))
     return DecodeResult(files=tuple(files), ok=ok, log=dict(transcript.decode_log))
 
 
@@ -438,6 +412,9 @@ def run_sweep(
     block = list(islice(demands, size))
     if block:  # refuse a bad demand, array or library as a per-demand sweep would
         deliver(grid, lib, block[0])
+        # lanes join whole rows, so fold (and so refuse) every packet of another length
+        _xor_fold((p for row in lib.packets for p in row if len(p) != lib.packet_len),
+                  lib.packet_len)
     checked = 0
     first_failure = None
     while block:

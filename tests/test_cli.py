@@ -486,6 +486,23 @@ def test_simulate_refuses_a_packet_length_it_cannot_draw(run, monkeypatch, packe
     assert err == f"error: packet_len must be at most {(1 << 28) - 1}, got {packet_len}\n"
 
 
+def test_simulate_refuses_a_library_too_large_to_hold(run, monkeypatch):
+    def no_draw(self, n):
+        raise AssertionError(f"drew {n} bytes")
+
+    monkeypatch.setattr(random.Random, "randbytes", no_draw)
+    code, out, err = run(
+        ["simulate", "--files", "5", "--packet-len", str((1 << 28) - 1), "--sample", "1"],
+        stdin=format_pda(mn_pda(5, 2)),
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith(
+        "error: a library of 5 files of 10 packets of 268435455 bytes takes about"
+    )
+    assert err.endswith(f" bytes in memory, more than {1 << 31}\n") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "argv,stdin",
     [

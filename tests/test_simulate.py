@@ -4,6 +4,7 @@ decoding, and the guarantee that a corrupted array cannot decode cleanly."""
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from functools import reduce
 
@@ -62,6 +63,29 @@ def test_library_refuses_packet_lengths_randbytes_cannot_draw(monkeypatch, packe
         FileLibrary.generate(1, 1, packet_len=packet_len)
     with pytest.raises(AssertionError, match=f"drew {(1 << 28) - 1} bytes"):
         FileLibrary.generate(1, 1, packet_len=(1 << 28) - 1)  # the largest is drawn
+
+
+def test_library_refuses_a_size_it_cannot_hold(monkeypatch):
+    # N*F packets of packet_len bytes, each with its bytes header and a tuple
+    # slot, may take up to 2^31 bytes; a larger library is refused before
+    # any packet is drawn.
+    def no_draw(self, n):
+        raise AssertionError(f"drew {n} bytes")
+
+    monkeypatch.setattr(random.Random, "randbytes", no_draw)
+    per_packet = sys.getsizeof(b"") + 8
+    for n, f, packet_len in [
+        (5, 10, (1 << 28) - 1),  # mn(5,2) with 5 files: about 12.5 GiB
+        (8, 1, (1 << 28) - per_packet + 1),  # one byte past the cap
+        (1 << 40, 1, 1),
+    ]:
+        with pytest.raises(ValueError, match=f"takes about {n * f * (packet_len + per_packet)}"
+                                             f" bytes in memory, more than {1 << 31}"):
+            FileLibrary.generate(n, f, packet_len=packet_len)
+    with pytest.raises(ValueError, match="packet_len must be at most"):  # checked first
+        FileLibrary.generate(5, 10, packet_len=1 << 28)
+    with pytest.raises(AssertionError, match="drew"):  # exactly at the cap
+        FileLibrary.generate(8, 1, packet_len=(1 << 28) - per_packet)
 
 
 def test_placement_caches_exactly_the_starred_rows():
@@ -227,6 +251,32 @@ def test_packets_of_the_wrong_length_are_rejected():
     caches[0][(2, 3)] = bytes(9)  # user 1 cancels W[2,3] out of signal 2
     with pytest.raises(ValueError, match="9 bytes"):
         decode(grid, t, caches, d, lib)
+
+
+def test_decode_checks_payloads_then_looks_up_a_rows_terms_before_their_lengths():
+    grid = golden_grid("GRID_K4_F6_Z3")
+    lib = FileLibrary.generate(2, 6, packet_len=8, seed=1)
+    d = (1, 2, 2, 1)
+    t = deliver(grid, lib, d)
+    # user 1 decodes row 4 from signal 1, cancelling W[2,2] and then W[2,1]
+    assert _schedule(grid).rows[0][3] == (1, ((2, 2), (3, 1)))
+    caches = place(grid, lib)
+    del caches[0][(2, 1)]
+    last = t.signals[-1]  # signal 4, which user 1 never reads
+    short = t._replace(signals=t.signals[:-1] + (last._replace(payload=last.payload[:7]),))
+    with pytest.raises(ValueError, match="cannot XOR 7 bytes with 8 bytes"):
+        decode(grid, short, caches, d, lib)
+    for missing, wrong in [((2, 1), (2, 2)), ((2, 2), (2, 1))]:
+        caches = place(grid, lib)
+        del caches[0][missing]
+        caches[0][wrong] = bytes(9)
+        with pytest.raises(DecodeError) as err:
+            decode(grid, t, caches, d, lib)
+        assert (err.value.signal, err.value.user, err.value.row) == (1, 1, 4)
+    # a wrong-length library packet that no cache holds fails the comparison
+    w16 = lib.packets[0][:5] + (bytes(7),)
+    res = decode(grid, t, place(grid, lib), d, lib._replace(packets=(w16, lib.packets[1])))
+    assert not res.ok and res.files == tuple(lib.file_bytes(n) for n in d)
 
 
 # ---------------------------------------------------------------------------
@@ -506,6 +556,34 @@ def test_block_sweep_raises_as_the_per_demand_sweep_does():
         assert message in expected[1]
     assert block_sweep(grid, lib, []) == (0, True, None, {"demands": 0, "signals": 0,
                                                           "xor_terms": 0})
+
+
+def test_a_sweep_refuses_a_short_packet_that_its_first_demand_never_reads():
+    # The lanes join whole rows, so a short W[2,6] would shift every later
+    # packet of its lane; the sweep refuses it before its first block.
+    grid = mn_pda(4, 2)
+    lib = FileLibrary.generate(2, 6, packet_len=8, seed=3)
+    short = lib._replace(packets=(lib.packets[0], lib.packets[1][:5] + (bytes(7),)))
+    demands = [(1, 1, 1, 1), (2, 2, 2, 2)]
+    deliver(grid, short, demands[0])  # the first demand reads no packet of file 2
+    with pytest.raises(ValueError, match="cannot XOR 7 bytes with 8 bytes"):
+        run_sweep(grid, short, demands)
+    assert block_sweep(grid, short, demands) == per_demand_sweep(grid, short, demands)
+
+
+def test_a_sweep_holds_no_second_copy_of_the_library():
+    grid = mn_pda(5, 2)
+    lib = FileLibrary.generate(5, grid.f, packet_len=1 << 18, seed=1)
+    payload_bytes = lib.n * lib.f * lib.packet_len
+    demands = list(sample_demands(5, grid.k, 4, seed=1))
+    tracemalloc.start()
+    try:
+        res = run_sweep(grid, lib, demands)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.all_ok and res.demands_checked == 4
+    assert peak < payload_bytes / 2, peak / payload_bytes
 
 
 def drop_entry(caches, key):
