@@ -19,7 +19,6 @@ Conventions shared by every subcommand:
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
@@ -102,7 +101,7 @@ def _write_output(path: Optional[str], text: str) -> None:
 def _load_pattern(path: str) -> Tuple[StarPattern, Optional[PdaGrid]]:
     """Read a placement; grids are accepted and reduced to their stars."""
     text = _read_input(path)
-    head = text.split(None, 1)[0] if text.split() else ""
+    head = (text.split(None, 1) or [""])[0]
     if head == "PDA":
         grid = parse_pda(text)
         return to_star_pattern(grid), grid
@@ -416,6 +415,8 @@ def cmd_fill(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_table(args: argparse.Namespace) -> int:
+    import csv
+
     try:
         q_list = [int(tok) for tok in args.q_list.split(",") if tok.strip()]
     except ValueError:
@@ -428,19 +429,8 @@ def cmd_table(args: argparse.Namespace) -> int:
     writer = csv.writer(out)
     writer.writerow(["q", "m", "s_pda", "s_derived", "s_exact", "mu", "formula_ratio"])
     for q in q_list:
-        odd_refused = False
         for m in range(2, args.m_max + 1):
-            if odd_refused and m % 2:
-                continue
-            want_exact = (m + 1) * q <= args.exact_cap
-            try:
-                row = ratio_report(q, m, want_exact=want_exact)
-            except ValueError as e:
-                # Only an odd m is refused: its value needs the q^m-row
-                # array, so every larger odd m is past the row cap too.
-                print(f"skipping q={q}, m={m} and every odd m above: {e}", file=sys.stderr)
-                odd_refused = True
-                continue
+            row = ratio_report(q, m, want_exact=(m + 1) * q <= args.exact_cap)
             try:
                 numbers = [str(row.s_pda), str(row.s_derived)]
             except ValueError as e:

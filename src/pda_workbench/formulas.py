@@ -1,8 +1,9 @@
 """The closed forms `table` reports: the partition family's derived bound,
 its ratio to the construction's symbol count, and the exact bound beside them.
 
-Everything here is exact arithmetic (ints and Fractions), cross-checked by
-the test suite's independent oracles.
+Everything here is exact arithmetic (ints and Fractions), and the derived
+bound is one integer expression at every m, so no row cap limits it.  The
+test suite cross-checks it against independent oracles.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from collections import namedtuple
 from fractions import Fraction
 from typing import Optional
 
-from .bounds import eval_ordering, partition_ordering, theorem1_exact
+from .bounds import theorem1_exact
 from .constructions import partition_pda
 from .core import to_star_pattern
 
@@ -19,26 +20,20 @@ _EXACT_BUDGET = 2_000_000  # intersections for ratio_report's exact bound
 
 
 def partition_bound_closed(q: int, m: int) -> int:
-    """Best known ordering value for the partition PDA's pattern.
+    """The partition PDA's value along `partition_ordering`, at every m >= 2:
+    (q-1)q^m - ((q-1)^(m+1) - (q-1))/2, an integer since q-1 or
+    (q-1)^m - 1 is even.
 
-    Even m has a trusted closed form, (q-1)q^m - (q-1)^(m+1)/2 + (q-1)/2.
-    For odd m the printed constant term is suspect (non-integral at q=3),
-    so the value is computed by evaluating the prescribed ordering on the
-    actual pattern — which needs q^m within the row cap.
+    Proof.  The m head columns (u, q) leave (q-1)^h q^(m-h) rows at step h,
+    (q-1)(q^m - N) in all, where N = (q-1)^m.  By the two-size law, (N +
+    (-1)^m (q-1))/q of those N rows have checksum residue q and
+    (N - (-1)^m)/q have each other residue.  At either parity the bucket
+    sort cuts the smaller class first, so the q checksum steps sum to
+    (q-1)(N + 1)/2.  The paper's odd-m constant (q-1)/q is thus (q-1)/2.
     """
     if q < 2 or m < 2:
         raise ValueError(f"need q >= 2 and m >= 2, got q={q}, m={m}")
-    if m % 2 == 0:
-        value = (
-            Fraction((q - 1) * q ** m)
-            - Fraction((q - 1) ** (m + 1), 2)
-            + Fraction(q - 1, 2)
-        )
-        if value.denominator != 1:
-            raise AssertionError(f"even-m bound not integral at q={q}, m={m}")
-        return int(value)
-    pattern = to_star_pattern(partition_pda(q, m))
-    return eval_ordering(pattern, partition_ordering(q, m)).value
+    return (q - 1) * q ** m - ((q - 1) ** (m + 1) - (q - 1)) // 2
 
 
 class RatioReport(

@@ -9,8 +9,11 @@ labelled grids carry opaque tokens that a tiny helper maps to dense ids.
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, Tuple
 
+from pda_workbench.bounds import partition_ordering
+from pda_workbench.constructions import residue_q
 from pda_workbench.core import STAR, PdaGrid
 
 Rows = Tuple[Tuple[int, ...], ...]
@@ -139,3 +142,23 @@ GOLDEN_PARAMS = {
 
 def golden_grid(name: str) -> PdaGrid:
     return PdaGrid(GOLDEN_PARAMS[name][0])
+
+
+def replayed_ordering_value(q: int, m: int) -> int:
+    """The partition PDA's value along `partition_ordering`, replayed on
+    bitmasks built straight from the checksum vectors of [q]^m, with no
+    PdaGrid and so no row cap: bit i of column (u, v)'s mask is set when
+    row i leaves it uncached, f_u != v."""
+    rows = [
+        f + (residue_q(sum(f), q),)
+        for f in itertools.product(range(1, q + 1), repeat=m)
+    ]
+    inter = (1 << len(rows)) - 1
+    total = 0
+    for user in partition_ordering(q, m):
+        u, v = divmod(user - 1, q)  # column (u + 1, v + 1)
+        inter &= int("".join("0" if f[u] == v + 1 else "1" for f in reversed(rows)), 2)
+        if not inter:
+            break
+        total += inter.bit_count()
+    return total

@@ -17,7 +17,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import SIGNAL_TERMS_K6_F4_Z2, golden_grid
+from conftest import SIGNAL_TERMS_K6_F4_Z2, golden_grid, replayed_ordering_value
 from pda_workbench.cli import _FAMILIES, EXIT_BUDGET, EXIT_INVALID, EXIT_OK, EXIT_USAGE, main
 from pda_workbench.constructions import bipartite_pda, mn_pda, partition_pda
 from pda_workbench.core import (
@@ -192,6 +192,16 @@ def test_bound_exact_certifies_a_tight_grid(run):
     assert "rate bound: 2/3" in lines
     assert "method: exact" in lines
     assert "optimality certified: bound meets S = 4" in lines
+
+
+@pytest.mark.parametrize("command", ["bound", "fill"])
+@pytest.mark.parametrize("text", ["", " \n\t\n", "XYZ 2 2"])
+def test_a_placement_without_a_known_header_names_its_first_token(run, command, text):
+    code, out, err = run([command], stdin=text)
+    assert code == EXIT_INVALID
+    assert out == ""
+    head = (text.split() or [""])[0]
+    assert err == f"error: unrecognized header {head!r}; want 'PDA' or 'PLC'\n"
 
 
 def test_bound_greedy_is_marked_unproven(run):
@@ -801,31 +811,31 @@ def test_table_default_cap_reaches_sixteen_users(run):
 
 
 def test_table_skips_shapes_it_cannot_evaluate(run):
-    # Odd m needs the ordering oracle, so 3^9 rows trip the cap; even m
-    # stays purely arithmetic and survives any size.
+    # It skips none past the row cap: 3^8 and 3^9 rows are past it, and
+    # both rows print the value that replaying the ordering counts.
     code, out, err = run(["table", "--q-list", "3", "--m-max", "9"])
     assert code == EXIT_OK
-    assert "skipping q=3, m=9" in err
-    lines = out.splitlines()
-    assert any(line.startswith("3,8,") for line in lines)
-    assert not any(line.startswith("3,9,") for line in lines)
+    assert err == ""
+    rows = {int(line.split(",")[1]): line.split(",") for line in out.splitlines()[1:]}
+    assert sorted(rows) == list(range(2, 10))
+    for m in (8, 9):
+        assert rows[m][2:4] == [str(2 * 3 ** m), str(replayed_ordering_value(3, m))]
 
 
 def test_table_reports_the_refused_odd_m_once_per_q(run):
-    # Odd m needs the q^m-row array: q=10 is refused from m=5 on, q=3 from
-    # m=9 on.  Each q gets one stderr line, and its even rows all stay.
+    # No m is refused, so nothing is reported: every m in 2..40 prints for
+    # both q, and stderr stays empty.  The first odd m past the row cap for
+    # each q matches the replayed ordering.
     code, out, err = run(["table", "--q-list", "10,3", "--m-max", "40", "--exact-cap", "0"])
     assert code == EXIT_OK
-    assert err.splitlines() == [
-        "skipping q=10, m=5 and every odd m above:"
-        " q^m rows at q=10, m=5 exceed the row cap 4096",
-        "skipping q=3, m=9 and every odd m above:"
-        " q^m rows at q=3, m=9 exceed the row cap 4096",
+    assert err == ""
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [tuple(row[:2]) for row in rows] == [
+        (str(q), str(m)) for q in (10, 3) for m in range(2, 41)
     ]
-    shapes = [tuple(line.split(",")[:2]) for line in out.splitlines()[1:]]
-    assert shapes == [("10", str(m)) for m in (2, 3, *range(4, 41, 2))] + [
-        ("3", str(m)) for m in (*range(2, 9), *range(10, 41, 2))
-    ]
+    s_derived = {(int(row[0]), int(row[1])): int(row[3]) for row in rows}
+    for q, m in [(10, 5), (3, 9)]:
+        assert s_derived[q, m] == replayed_ordering_value(q, m)
 
 
 @pytest.mark.skipif(
@@ -1097,7 +1107,7 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
 # CLI process pays for these, so a new one must show up here as a deliberate
 # change; an import inside the one command that needs it stays free.
 MODULE_LEVEL_IMPORTS = {
-    "__future__", "argparse", "collections", "csv", "fractions", "functools", "io",
+    "__future__", "argparse", "collections", "fractions", "functools", "io",
     "itertools", "json", "math", "os", "random", "sys", "time", "types", "typing",
     "pda_workbench.bounds", "pda_workbench.constructions", "pda_workbench.core",
     "pda_workbench.filler", "pda_workbench.formulas", "pda_workbench.simulate",

@@ -13,6 +13,7 @@ from math import comb
 
 import pytest
 
+from conftest import replayed_ordering_value
 from pda_workbench import formulas
 from pda_workbench.bounds import eval_ordering, partition_ordering
 from pda_workbench.constructions import (
@@ -167,8 +168,11 @@ def test_even_m_closed_form_needs_no_pattern():
 
 
 def test_odd_m_needs_the_rows_to_fit():
-    with pytest.raises(ValueError, match="row cap"):
-        partition_bound_closed(3, 9)  # 3^9 rows is past the bitmask cap
+    # It does not: the closed form builds no rows at any m.  Each shape past
+    # the 4,096-row cap, odd and even m, agrees with the replayed ordering.
+    for q, m in [(3, 9), (4, 7), (6, 5), (3, 8), (7, 5), (2, 13)]:
+        assert q ** m > 4096
+        assert partition_bound_closed(q, m) == replayed_ordering_value(q, m), (q, m)
     with pytest.raises(ValueError):
         partition_bound_closed(3, 1)
 
