@@ -151,9 +151,6 @@ class PartitionSpec(NamedTuple):
         _check_partition_shape(q, m)
         return PdaParams(k=(m + 1) * q, f=q ** m, z=q ** (m - 1), s=(q - 1) * q ** m)
 
-    def build(self) -> PdaGrid:
-        return partition_pda(self.q, self.m)
-
 
 # ---------------------------------------------------------------------------
 # Bipartite (subset) PDA
@@ -229,8 +226,3 @@ class BipartiteSpec(NamedTuple):
             z=comb(m, b) - comb(m - a, b),
             s=h * comb(m, a + b),
         )
-
-    def build(self) -> PdaGrid:
-        if self.h == 1:
-            return bipartite_pda(self.m, self.a, self.b)
-        return grouping_pda(self.m, self.a, self.b, self.h)

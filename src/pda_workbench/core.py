@@ -161,11 +161,6 @@ class StarPattern(namedtuple("StarPattern", "f masks")):
         """A_k as sorted 1-based row tuples."""
         return [_mask_to_rows(m) for m in self.masks]
 
-    def cached_sets(self) -> List[Tuple[int, ...]]:
-        """Complements of the A_k: the rows each user stores."""
-        full = (1 << self.f) - 1
-        return [_mask_to_rows(full & ~m) for m in self.masks]
-
     def sizes(self) -> Tuple[int, ...]:
         return tuple(m.bit_count() for m in self.masks)
 

@@ -17,17 +17,17 @@ the payloads depend on the demand.  For one demand, delivery XORs each
 symbol's packets, and decoding XORs each signal with the cancellation
 terms taken from the user's own cache, one fold of packet bytes
 (`_xor_fold`) per signal or cell.
-A sweep does the same for a block of demands (32 KB of one packet each) at
-once: a term's lane joins W[d_k, j] of every demand of the block into one
-integer, demand b in bytes [b L, (b + 1) L), so each XOR and comparison is
-one big-int operation per term per block.  Lanes live for one symbol.
+A sweep proves the rest from the schedule.  Where every entry a row reads
+is the library's own packet object, C3 makes the signal less its other
+terms equal W[d_k, j] for every demand, so per demand the sweep XOR-checks,
+as decoding would, only the rows that read an entry of another object.
 
 Nothing memoises the payloads: the caches share the library's packet
 objects, and a fold converts each packet when it reads it.  Every packet
 a fold reads is length-checked, so delivery refuses a wrong-length packet
 it broadcasts, decoding a wrong-length payload or cancellation term, and
-a sweep, which reads whole rows into its lanes, any wrong-length packet
-of the library before its first block.  Decoding reads the user's cache
+a sweep, which delivers only its first demand, any wrong-length packet
+of the library before it checks one.  Decoding reads the user's cache
 alone and compares each joined file with the library's bytes.
 
 XOR over raw bytes stands in for the unspecified field: GF(2) suffices for
@@ -43,7 +43,7 @@ import time
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice, product
+from itertools import product
 from types import MappingProxyType
 from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
@@ -52,7 +52,6 @@ from .core import STAR, PdaGrid, pda_params
 DEFAULT_PACKET_LEN = 64
 _MAX_PACKET_LEN = (1 << 28) - 1  # randbytes on Python 3.11 draws 8 * len bits via a C int
 _MAX_LIBRARY_BYTES = 1 << 31  # N*F packets, each with its bytes header and a tuple slot
-_BLOCK_BYTES = 1 << 15  # a sweep block holds max(1, this // packet_len) demands
 
 Cache = Dict[Tuple[int, int], bytes]  # (file n, row j) -> packet
 Term = Tuple[int, int]  # (user k, row j) of one cell
@@ -303,10 +302,11 @@ class SweepResult(
 ):
     """Outcome of a demand sweep.
 
-    stats holds the demands, signals broadcast, XOR terms (each delivery
-    term and each cancellation term, sum of g_s^2 per demand) and
-    elapsed_s.  It is left out of ==, != and hash, so two sweeps of the
-    same input compare equal however long each took.
+    stats holds the demands, the signals and the XOR terms (each delivery
+    term and each cancellation term, sum of g_s^2 per demand) that the
+    scheme broadcasts and decodes for them, not the XORs the sweep itself
+    performs, and elapsed_s.  It is left out of ==, != and hash, so two
+    sweeps of the same input compare equal however long each took.
     """
 
     __slots__ = ()
@@ -337,52 +337,20 @@ class SweepResult(
         return hash(self[:-1])
 
 
-def _cache_lane(cache: Cache, j: int, column: Sequence[int], packet_len: int) -> Tuple[int, int]:
-    """The lane of entries (n, j) of `cache` for each n of `column`, and the
-    first slot whose entry is missing or of another length (else len(column))."""
-    parts = [cache.get((n, j)) for n in column]
-    bad = [b for b, p in enumerate(parts) if p is None or len(p) != packet_len]
-    for b in bad:
-        parts[b] = bytes(packet_len)
-    return int.from_bytes(b"".join(parts), "little"), min(bad, default=len(column))
-
-
-def _block_failure(schedule: _Schedule, by_row: Sequence[Sequence[bytes]], caches: Sequence[Cache],
-                   foreign: set[Term], block: Sequence[Tuple[int, ...]], packet_len: int) -> int:
-    """Slot of the first demand of `block` that a user fails to decode, or
-    len(block).  by_row[j] is (b"", W[1, j], ..., W[N, j]); `foreign` holds
-    each (k, j) where user k's entries for row j are not the library's own."""
-    # module-level imports are held to a fixed set; collections has loaded operator anyway
-    from operator import itemgetter
-
-    columns = (None, *zip(*block))  # columns[k]: user k's file at each slot
-    picks = (None, *(itemgetter(0, *column) for column in columns[1:]))  # a tuple even for one slot
-    first = len(block)
-    wrong = 0  # OR of (decoded ^ wanted) over every user's mismatching lane
-    for _, terms in schedule.symbols:
-        lanes = {(k, j): int.from_bytes(b"".join(picks[k](by_row[j])), "little") for k, j in terms}
-        signal = 0
-        for lane in lanes.values():
-            signal ^= lane
-        for k, j in terms:
-            value = signal
-            for k2, j2 in schedule.rows[k - 1][j - 1][1]:
-                if (k, j2) in foreign:
-                    lane, bad = _cache_lane(caches[k - 1], j2, columns[k2], packet_len)
-                    value ^= lane
-                    first = min(first, bad)
-                else:
-                    value ^= lanes[(k2, j2)]
-            if value != lanes[(k, j)]:
-                wrong |= value ^ lanes[(k, j)]
-    for k, j in foreign:  # rows user k holds of its own file
-        if schedule.rows[k - 1][j - 1] is None:
-            value, bad = _cache_lane(caches[k - 1], j, columns[k], packet_len)
-            wrong |= value ^ int.from_bytes(b"".join(picks[k](by_row[j])), "little")
-            first = min(first, bad)
-    if wrong:
-        first = min(first, ((wrong & -wrong).bit_length() - 1) // (8 * packet_len))
-    return first
+def _row_fails(lib: FileLibrary, cache: Cache, d: Tuple[int, ...], k: int, j: int,
+               entry: Optional[Tuple[int, Tuple[Term, ...]]]) -> bool:
+    """Whether user k, holding `cache`, fails to recover W[d_k, j] as decode
+    would: a cached row must be the library's packet; for an uncached row
+    every cancellation entry must be present and `packet_len` long, and their
+    XOR must be that of the library's packets for the same terms."""
+    if entry is None:
+        return cache.get((d[k - 1], j)) != lib.packet(d[k - 1], j)
+    others = entry[1]
+    found = [cache.get((d[k2 - 1], j2)) for k2, j2 in others]
+    if any(p is None or len(p) != lib.packet_len for p in found):
+        return True
+    wanted = (lib.packet(d[k2 - 1], j2) for k2, j2 in others)
+    return _xor_fold(found, lib.packet_len) != _xor_fold(wanted, lib.packet_len)
 
 
 def run_sweep(
@@ -393,7 +361,10 @@ def run_sweep(
     """Deliver and decode every demand; report byte-exactness across all.
 
     Caches are placed once and shared by every demand, the array's schedule
-    is built once, and demands are read one block at a time.  A demand fails
+    is built once, and only the first demand is delivered.  Each later one
+    is decoded, as `decode` would, at the rows that read a cache entry other
+    than the library's own packet; by C3 every other row decodes for every
+    demand.  A demand fails
     when the array has other than S symbols, a cache entry a user needs is
     missing or of the wrong length, or a decoded or cached row differs from
     the library.  Every demand is validated, and the first failure in input
@@ -404,30 +375,28 @@ def run_sweep(
     caches = place(grid, lib)
     schedule = _schedule(grid)
     terms_per_demand = sum(len(terms) ** 2 for _, terms in schedule.symbols)
-    by_row = (None, *((b"", *row) for row in zip(*lib.packets)))
+    # (k, j) where user k's entries for row j are not the library's own objects
     foreign = {(k, j) for k, cache in enumerate(caches, start=1) for j in range(1, grid.f + 1)
-               if not all(cache.get((n, j)) is by_row[j][n] for n in range(1, lib.n + 1))}
-    size = max(1, _BLOCK_BYTES // lib.packet_len)
-    demands = map(tuple, demands)
-    block = list(islice(demands, size))
-    if block:  # refuse a bad demand, array or library as a per-demand sweep would
-        deliver(grid, lib, block[0])
-        # lanes join whole rows, so fold (and so refuse) every packet of another length
-        _xor_fold((p for row in lib.packets for p in row if len(p) != lib.packet_len),
-                  lib.packet_len)
+               if not all(cache.get((n, j)) is lib.packet(n, j) for n in range(1, lib.n + 1))}
+    # every other row decodes by C3 for every demand: its XOR cancels the library's own packets
+    suspects = [(k, j, entry) for k, rows in enumerate(schedule.rows, start=1)
+                for j, entry in enumerate(rows, start=1)
+                if ((k, j) in foreign if entry is None
+                    else any((k, j2) in foreign for _, j2 in entry[1]))]
     checked = 0
     first_failure = None
-    while block:
-        for d in block:
-            _check_demand(grid, lib, d)
-        checked += len(block)
-        if first_failure is None:
-            slot = 0 if len(schedule.symbols) != params.s else _block_failure(
-                schedule, by_row, caches, foreign, block, lib.packet_len
-            )
-            if slot < len(block):
-                first_failure = block[slot]
-        block = list(islice(demands, size))
+    for d in map(tuple, demands):
+        if not checked:  # refuse a bad demand, array or library as a per-demand sweep would
+            deliver(grid, lib, d)
+            # a sweep delivers only its first demand, so fold (and so refuse) every
+            # packet of another length
+            _xor_fold((p for row in lib.packets for p in row if len(p) != lib.packet_len),
+                      lib.packet_len)
+        _check_demand(grid, lib, d)
+        checked += 1
+        if first_failure is None and (len(schedule.symbols) != params.s or any(
+                _row_fails(lib, caches[k - 1], d, k, j, entry) for k, j, entry in suspects)):
+            first_failure = d
     return SweepResult(
         demands_checked=checked,
         all_ok=first_failure is None,

@@ -84,7 +84,7 @@ def test_partition_columns_are_u_major():
     + [(2, 5), (2, 6)],
 )
 def test_partition_sweep_valid_with_expected_params(q, m):
-    grid = PartitionSpec(q, m).build()
+    grid = partition_pda(q, m)
     assert verify_pda(grid).valid
     assert pda_params(grid) == PartitionSpec(q, m).expected_params()
     # every pinned vector shows up once per coordinate group

@@ -452,8 +452,40 @@ def test_a_sweep_builds_the_schedule_once():
     assert res.stats["elapsed_s"] >= 0
 
 
+@pytest.mark.parametrize("flip", [False, True])
+def test_a_sweep_checks_only_the_rows_that_read_a_foreign_entry(monkeypatch, flip):
+    # With place's caches every row decodes by C3, so no demand checks one.
+    # Flipping user 1's entry (3, 3) leaves only user 1's rows that read
+    # row 3 of its cache: row 3 itself and the rows that cancel a row-3 term.
+    grid = mn_pda(4, 2)
+    real_place, real_row_fails = simulate.place, simulate._row_fails
+
+    def place(grid, lib):
+        caches = real_place(grid, lib)
+        if flip:
+            flip_entry(caches, (3, 3))
+        return caches
+
+    calls = []
+
+    def row_fails(lib, cache, d, k, j, entry):
+        calls.append((k, j))
+        return real_row_fails(lib, cache, d, k, j, entry)
+
+    monkeypatch.setattr(simulate, "place", place)
+    monkeypatch.setattr(simulate, "_row_fails", row_fails)
+    lib = FileLibrary.generate(3, 6, packet_len=8, seed=5)
+    res = run_sweep(grid, lib, all_demands(2, 4))
+    assert res.all_ok and res.demands_checked == 16
+    rows = _schedule(grid).rows[0]
+    reading = {j for j, entry in enumerate(rows, start=1)
+               if (j == 3 if entry is None else any(j2 == 3 for _, j2 in entry[1]))}
+    assert not flip or {3} < reading
+    assert sorted(calls) == sorted((1, j) for j in reading for _ in range(16) if flip)
+
+
 # ---------------------------------------------------------------------------
-# the block sweep against one deliver and decode per demand
+# the schedule sweep against one deliver and decode per demand
 # ---------------------------------------------------------------------------
 
 
@@ -524,10 +556,10 @@ SWEEP_GRIDS = DIFFERENTIAL_GRIDS + [partition_pda(3, 3)] + [
 ] + column_swaps(12, seed=7)
 
 
-EIGHT_PER_BLOCK = simulate._BLOCK_BYTES // 8  # a packet length that makes blocks of 8 demands
+EIGHT_PER_BLOCK = 4096  # a long packet length, as well as a short one
 
 
-@pytest.mark.parametrize("packet_len", [5, EIGHT_PER_BLOCK])  # one block; blocks of 8
+@pytest.mark.parametrize("packet_len", [5, EIGHT_PER_BLOCK])  # short and long packets
 @pytest.mark.parametrize("grid", SWEEP_GRIDS, ids=lambda g: f"K{g.k}-F{g.f}")
 def test_block_sweep_matches_a_per_demand_sweep(grid, packet_len):
     lib = FileLibrary.generate(3, grid.f, packet_len=packet_len, seed=grid.k + grid.f)
@@ -535,7 +567,7 @@ def test_block_sweep_matches_a_per_demand_sweep(grid, packet_len):
         demands = list(all_demands(3, grid.k))
     else:
         demands = list(sample_demands(3, grid.k, 100, seed=grid.f))
-    demands *= -(-24 // len(demands))  # three or more blocks of 8
+    demands *= -(-24 // len(demands))  # at least 24 demands, repeats included
     expected = per_demand_sweep(grid, lib, demands)
     assert block_sweep(grid, lib, iter(demands)) == expected
 
@@ -559,8 +591,8 @@ def test_block_sweep_raises_as_the_per_demand_sweep_does():
 
 
 def test_a_sweep_refuses_a_short_packet_that_its_first_demand_never_reads():
-    # The lanes join whole rows, so a short W[2,6] would shift every later
-    # packet of its lane; the sweep refuses it before its first block.
+    # A sweep delivers only its first demand, so no fold would read the short
+    # W[2,6] that a later demand broadcasts; the sweep refuses it up front.
     grid = mn_pda(4, 2)
     lib = FileLibrary.generate(2, 6, packet_len=8, seed=3)
     short = lib._replace(packets=(lib.packets[0], lib.packets[1][:5] + (bytes(7),)))
@@ -620,7 +652,7 @@ def test_block_sweep_reads_each_users_own_cache(monkeypatch, change, failing):
     w3 = lib.packets[2]  # W[3, 3] all zeros: a missing entry must not pass as one
     lib = lib._replace(packets=lib.packets[:2] + (w3[:2] + (bytes(EIGHT_PER_BLOCK),) + w3[3:],))
     demands = list(all_demands(2, 4)) + [(2, 1, 2, 1)] * 8
-    demands[19:19] = [failing, (3, 3, 3, 3)]  # block 2, slot 3
+    demands[19:19] = [failing, (3, 3, 3, 3)]  # demand 20, after 19 that pass
     expected = per_demand_sweep(grid, lib, demands)
     assert block_sweep(grid, lib, demands) == expected
     assert expected[2] == (None if change is copy_entries else failing)
