@@ -28,13 +28,9 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .constructions import partition_column_id, partition_residue_buckets, subsets
 # canonical_pattern is not called here; bench/layers.py patches it by this name.
-from .core import StarPattern, canonical_pattern  # noqa: F401
+from .core import DEFAULT_NODE_BUDGET, StarPattern, canonical_pattern  # noqa: F401
 
 UserOrdering = Tuple[int, ...]
-
-# Intersections the exact search may expand.  Each one stays in its memo
-# (about 120 bytes), so this also caps memory near 1.2 GB.
-DEFAULT_NODE_BUDGET = 10_000_000
 
 
 class BoundCertificate(

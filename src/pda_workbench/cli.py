@@ -24,18 +24,8 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
-from .bounds import (
-    DEFAULT_NODE_BUDGET,
-    BoundCertificate,
-    bipartite_ordering,
-    eval_ordering,
-    partition_ordering,
-    theorem1_exact,
-    theorem1_greedy,
-    theorem3_search,
-)
 from .constructions import (
     BipartiteSpec,
     PartitionSpec,
@@ -45,6 +35,9 @@ from .constructions import (
     partition_pda,
 )
 from .core import (
+    DEFAULT_COLOR_BUDGET,
+    DEFAULT_NODE_BUDGET,
+    DEFAULT_PACKET_LEN,
     MalformedGridError,
     PdaGrid,
     PdaParams,
@@ -57,19 +50,39 @@ from .core import (
     to_star_pattern,
     verify_pda,
 )
-from .filler import DEFAULT_COLOR_BUDGET, fill_exact, fill_greedy
-from .formulas import ratio_report
-from .simulate import (
-    DEFAULT_PACKET_LEN,
-    DecodeError,
-    FileLibrary,
-    all_demands,
-    decode,
-    deliver,
-    place,
-    run_sweep,
-    sample_demands,
-)
+
+
+def _engine(module: str, name: str) -> Callable:
+    """Stand in for `name` of the package module `module` until its first call.
+
+    A process imports only the engines that its subcommand runs.  On its
+    first call the stand-in imports the module, puts the real function in
+    its place in this module (unless a wrapper has taken that place) and
+    calls it.  The engine entry points stay attributes of this module from
+    import on, because the benchmark's trace patches them here.
+    """
+
+    def stand_in(*args, **kwargs):
+        # `from .<module> import <name>`, spelled out for a name known only
+        # at run time.  importlib.import_module would skip the import
+        # statement's path, so -X importtime would not report the module.
+        real = getattr(__import__(module, globals(), None, (name,), 1), name)
+        if globals()[name] is stand_in:
+            globals()[name] = real
+        return real(*args, **kwargs)
+
+    return stand_in
+
+
+theorem1_exact = _engine("bounds", "theorem1_exact")
+theorem3_search = _engine("bounds", "theorem3_search")
+fill_exact = _engine("filler", "fill_exact")
+fill_greedy = _engine("filler", "fill_greedy")
+ratio_report = _engine("formulas", "ratio_report")
+place = _engine("simulate", "place")
+deliver = _engine("simulate", "deliver")
+decode = _engine("simulate", "decode")
+run_sweep = _engine("simulate", "run_sweep")
 
 SCHEMA = "pda-workbench/1"
 
@@ -203,9 +216,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # bound
 # ---------------------------------------------------------------------------
 
-def _ordered_certificate(
-    args: argparse.Namespace, pattern: StarPattern
-) -> BoundCertificate:
+def _ordered_certificate(args: argparse.Namespace, pattern: StarPattern):
+    """The `BoundCertificate` of the family ordering that --method names."""
+    from .bounds import bipartite_ordering, eval_ordering, partition_ordering
+
     family = args.method.split(":", 1)[1]
     if family == "partition":
         spec, ordering = PartitionSpec, partition_ordering
@@ -223,6 +237,8 @@ def _ordered_certificate(
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
+    from .bounds import theorem1_greedy
+
     pattern, grid = _load_pattern(args.file)
     grid_symbols: Optional[int] = None
     if grid is not None:
@@ -301,6 +317,8 @@ def _parse_demand(text: str, k: int, n: int) -> Tuple[int, ...]:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from .simulate import DecodeError, FileLibrary, all_demands, sample_demands
+
     modes = [
         flag
         for flag, given in (

@@ -44,9 +44,8 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .bounds import theorem1_exact
-from .core import STAR, PdaGrid, StarPattern, _mask_to_rows
+from .core import DEFAULT_COLOR_BUDGET, STAR, PdaGrid, StarPattern, _mask_to_rows
 
-DEFAULT_COLOR_BUDGET = 5_000_000
 _BOUND_BUDGET = 1_000_000  # intersections for the ordering lower bound
 
 

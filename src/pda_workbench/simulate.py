@@ -47,9 +47,8 @@ from itertools import product
 from types import MappingProxyType
 from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from .core import STAR, PdaGrid, pda_params
+from .core import DEFAULT_PACKET_LEN, STAR, PdaGrid, pda_params
 
-DEFAULT_PACKET_LEN = 64
 _MAX_PACKET_LEN = (1 << 28) - 1  # randbytes on Python 3.11 draws 8 * len bits via a C int
 _MAX_LIBRARY_BYTES = 1 << 31  # N*F packets, each with its bytes header and a tuple slot
 

@@ -1102,6 +1102,119 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     assert not loaded & {"dataclasses", "inspect"}
 
 
+MN_4_2 = format_pda(mn_pda(4, 2))
+BASE_MODULES = {"pda_workbench.core", "pda_workbench.constructions"}
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, engines",
+    [
+        (["--help"], "", set()),
+        (["construct", "mn", "--k", "4", "--t", "2"], "", set()),
+        (["verify"], MN_4_2, set()),
+        (["simulate", "--files", "4", "--sample", "5"], MN_4_2, {"simulate"}),
+        (["bound"], MN_4_2, {"bounds"}),
+        (["search", "--k", "3", "--f", "2", "--z", "1"], "", {"bounds"}),
+        (["fill"], MN_4_2, {"bounds", "filler"}),
+        (["table", "--q-list", "2", "--m-max", "2"], "", {"bounds", "formulas"}),
+    ],
+    ids=["help", "construct", "verify", "simulate", "bound", "search", "fill", "table"],
+)
+def test_each_subcommand_imports_only_the_engines_it_runs(argv, stdin, engines):
+    # Every CLI process compiles what it imports, so construct, verify and
+    # simulate must not pay for bounds, filler or formulas.  The positive
+    # half shows that -X importtime reports an engine imported on first use.
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "pda_workbench.cli", *argv],
+        input=stdin, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    loaded = {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    package = {name for name in loaded if name.startswith("pda_workbench.")}
+    assert package == BASE_MODULES | {"pda_workbench." + e for e in engines}
+
+
+# Every name that the benchmark's per-layer trace patches on the cli module,
+# which it looks up as cli.__dict__[name].
+PATCHED_ON_CLI = (
+    "parse_pda", "parse_placement", "verify_pda",
+    "partition_pda", "bipartite_pda", "mn_pda", "grouping_pda",
+    "theorem1_exact", "theorem3_search", "ratio_report", "fill_greedy", "fill_exact",
+    "place", "deliver", "decode", "run_sweep",
+)
+ENGINE_MODULES = {
+    "theorem1_exact": "bounds", "theorem3_search": "bounds",
+    "fill_exact": "filler", "fill_greedy": "filler", "ratio_report": "formulas",
+    "place": "simulate", "deliver": "simulate", "decode": "simulate",
+    "run_sweep": "simulate",
+}
+# Between them these runs call each engine entry point at least once.
+EVERY_ENGINE_RUN = [
+    (["bound"], MN_4_2),
+    (["search", "--k", "3", "--f", "2", "--z", "1"], ""),
+    (["fill"], MN_4_2),
+    (["fill", "--method", "greedy"], MN_4_2),
+    (["table", "--q-list", "2", "--m-max", "2"], ""),
+    (["simulate", "--files", "4", "--demand", "1,2,3,4"], MN_4_2),
+    (["simulate", "--files", "4", "--sample", "3"], MN_4_2),
+]
+
+
+def fresh_cli():
+    """A newly executed copy of the cli module, as a new process has it."""
+    import importlib.util
+
+    spec = importlib.util.find_spec("pda_workbench.cli")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def run_quietly(cli, argv, stdin):
+    with mock.patch.object(sys, "stdin", io.StringIO(stdin)), \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        return cli.main(argv)
+
+
+def test_engine_entry_points_are_cli_attributes_from_import_on():
+    import importlib
+
+    cli = fresh_cli()
+    assert [name for name in PATCHED_ON_CLI if name not in cli.__dict__] == []
+    engines = {
+        name: getattr(importlib.import_module("pda_workbench." + module), name)
+        for name, module in ENGINE_MODULES.items()
+    }
+    assert [name for name in engines if cli.__dict__[name] is engines[name]] == []
+    for argv, stdin in EVERY_ENGINE_RUN:
+        assert run_quietly(cli, argv, stdin) == EXIT_OK, argv
+    assert [name for name in engines if cli.__dict__[name] is not engines[name]] == []
+
+
+@pytest.mark.parametrize("warm", [True, False], ids=["after-warm-up", "before-first-use"])
+def test_a_wrapper_on_the_cli_sees_each_engine_call_once(warm):
+    cli = fresh_cli()
+    if warm:
+        assert run_quietly(cli, ["bound"], MN_4_2) == EXIT_OK
+    calls = []
+    inner = cli.theorem1_exact
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    cli.theorem1_exact = counting
+    for runs in range(1, 4):
+        assert run_quietly(cli, ["bound"], MN_4_2) == EXIT_OK
+        assert len(calls) == runs
+    assert cli.theorem1_exact is counting
+
+
 # The modules that src/pda_workbench/*.py import at module level (not inside
 # a function), as `import x` names x and `from x import y` names x.  Every
 # CLI process pays for these, so a new one must show up here as a deliberate
@@ -1110,7 +1223,6 @@ MODULE_LEVEL_IMPORTS = {
     "__future__", "argparse", "collections", "fractions", "functools", "io",
     "itertools", "json", "math", "os", "random", "sys", "time", "types", "typing",
     "pda_workbench.bounds", "pda_workbench.constructions", "pda_workbench.core",
-    "pda_workbench.filler", "pda_workbench.formulas", "pda_workbench.simulate",
 }
 
 
