@@ -22,13 +22,14 @@ sum is computed.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from itertools import combinations, islice
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .constructions import partition_column_id, partition_residue_buckets, subsets
 # canonical_pattern is not called here; bench/layers.py patches it by this name.
 from .core import DEFAULT_NODE_BUDGET, StarPattern, canonical_pattern  # noqa: F401
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 UserOrdering = Tuple[int, ...]
 
@@ -66,6 +67,8 @@ class BoundCertificate(
 
     @property
     def rate_bound(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self.value, self.f)
 
     def as_dict(self) -> dict:
@@ -102,6 +105,8 @@ class SearchReport(NamedTuple):
 
     @property
     def rate_bound(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self.best_value, self.f)
 
     def as_dict(self) -> dict:
@@ -284,6 +289,8 @@ def partition_ordering(q: int, m: int) -> UserOrdering:
     plain column order.  The tail never changes the sum: by then the
     running intersection is empty.
     """
+    from .constructions import partition_column_id, partition_residue_buckets
+
     buckets = partition_residue_buckets(q, m)
     head = [partition_column_id(q, u, q) for u in range(1, m + 1)]
     tail_vs = sorted(range(1, q + 1), key=lambda v: (-buckets[v], v))
@@ -301,6 +308,8 @@ def bipartite_ordering(m: int, a: int, b: int) -> UserOrdering:
     C(m-a-i, b); the within-stage order is immaterial for the sum.  Users
     are returned as column ids (lex ranks of the subsets).
     """
+    from .constructions import subsets
+
     if a < 1 or b < 1 or a + b > m:
         raise ValueError(f"need a, b >= 1 and a+b <= m, got m={m}, a={a}, b={b}")
     rank = {s: i + 1 for i, s in enumerate(subsets(m, a))}

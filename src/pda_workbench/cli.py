@@ -20,20 +20,10 @@ from __future__ import annotations
 
 import argparse
 import io
-import json
 import os
 import sys
-from fractions import Fraction
-from typing import Callable, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, Tuple
 
-from .constructions import (
-    BipartiteSpec,
-    PartitionSpec,
-    bipartite_pda,
-    grouping_pda,
-    mn_pda,
-    partition_pda,
-)
 from .core import (
     DEFAULT_COLOR_BUDGET,
     DEFAULT_NODE_BUDGET,
@@ -51,15 +41,19 @@ from .core import (
     verify_pda,
 )
 
+if TYPE_CHECKING:
+    from fractions import Fraction
+
 
 def _engine(module: str, name: str) -> Callable:
     """Stand in for `name` of the package module `module` until its first call.
 
-    A process imports only the engines that its subcommand runs.  On its
-    first call the stand-in imports the module, puts the real function in
-    its place in this module (unless a wrapper has taken that place) and
-    calls it.  The engine entry points stay attributes of this module from
-    import on, because the benchmark's trace patches them here.
+    A process imports only the engines and family builders that its
+    subcommand runs.  On its first call the stand-in imports the module,
+    puts the real function in its place in this module (unless a wrapper
+    has taken that place) and calls it.  These entry points stay attributes
+    of this module from import on, because the benchmark's trace patches
+    them here.
     """
 
     def stand_in(*args, **kwargs):
@@ -74,6 +68,10 @@ def _engine(module: str, name: str) -> Callable:
     return stand_in
 
 
+partition_pda = _engine("constructions", "partition_pda")
+bipartite_pda = _engine("constructions", "bipartite_pda")
+mn_pda = _engine("constructions", "mn_pda")
+grouping_pda = _engine("constructions", "grouping_pda")
 theorem1_exact = _engine("bounds", "theorem1_exact")
 theorem3_search = _engine("bounds", "theorem3_search")
 fill_exact = _engine("filler", "fill_exact")
@@ -129,6 +127,8 @@ def _frac_dict(x: Fraction) -> dict:
 
 def _write_json(path: Optional[str], command: str, **fields) -> None:
     """Write the versioned envelope that every JSON output is."""
+    import json
+
     payload = {"schema": SCHEMA, "command": command, **fields}
     _write_output(path, json.dumps(payload, indent=2) + "\n")
 
@@ -219,6 +219,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def _ordered_certificate(args: argparse.Namespace, pattern: StarPattern):
     """The `BoundCertificate` of the family ordering that --method names."""
     from .bounds import bipartite_ordering, eval_ordering, partition_ordering
+    from .constructions import BipartiteSpec, PartitionSpec
 
     family = args.method.split(":", 1)[1]
     if family == "partition":
@@ -478,27 +479,19 @@ def _add_format(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=["text", "json"], default="text")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="pda-workbench",
-        description="Construct, verify, bound, fill and simulate placement delivery arrays.",
-        allow_abbrev=False,
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("construct", help="emit a PDA from a named family", allow_abbrev=False)
+def _construct_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("family", choices=list(_FAMILIES))
     for flag in dict.fromkeys(n for _, names in _FAMILIES.values() for n in names):
         p.add_argument("--" + flag, type=int)
     p.add_argument("-o", "--output", default=None, help="write the array here instead of stdout")
-    p.set_defaults(handler=cmd_construct)
 
-    p = sub.add_parser("verify", help="check the axioms of a PDA file", allow_abbrev=False)
+
+def _verify_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("file", nargs="?", default="-")
     _add_format(p)
-    p.set_defaults(handler=cmd_verify)
 
-    p = sub.add_parser("bound", help="lower-bound S for a placement", allow_abbrev=False)
+
+def _bound_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("file", nargs="?", default="-")
     p.add_argument(
         "--method",
@@ -516,9 +509,9 @@ def _build_parser() -> argparse.ArgumentParser:
     for flag in dict.fromkeys(_FAMILIES["partition"][1] + _FAMILIES["bipartite"][1]):
         p.add_argument("--" + flag, type=int)
     _add_format(p)
-    p.set_defaults(handler=cmd_bound)
 
-    p = sub.add_parser("search", help="min-max bound over all placements", allow_abbrev=False)
+
+def _search_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--f", type=int, required=True)
     p.add_argument("--z", type=int, required=True)
@@ -530,9 +523,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("-o", "--witness", default=None, help="write the best placement here")
     _add_format(p)
-    p.set_defaults(handler=cmd_search)
 
-    p = sub.add_parser("simulate", help="run the scheme on byte payloads", allow_abbrev=False)
+
+def _simulate_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("file", nargs="?", default="-")
     p.add_argument("--files", type=int, required=True, help="library size N")
     # exactly one of --demand, --sweep and --sample
@@ -543,29 +536,66 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--packet-len", type=int, default=DEFAULT_PACKET_LEN)
     p.add_argument("--transcript", default=None, help="with --demand, dump signals as JSON here")
     _add_format(p)
-    p.set_defaults(handler=cmd_simulate)
 
-    p = sub.add_parser("fill", help="synthesize a PDA for a star pattern", allow_abbrev=False)
+
+def _fill_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("file", nargs="?", default="-")
     p.add_argument("--method", choices=["exact", "greedy"], default="exact")
     p.add_argument(
         "--budget", type=int, default=DEFAULT_COLOR_BUDGET, help="node cap for the exact search"
     )
     p.add_argument("-o", "--output", default=None)
-    p.set_defaults(handler=cmd_fill)
 
-    p = sub.add_parser("table", help="bound-vs-construction comparison CSV", allow_abbrev=False)
+
+def _table_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--q-list", default="2,3,4,5")
     p.add_argument("--m-max", type=int, default=5)
     p.add_argument("--exact-cap", type=int, default=16, help="run the exact engine up to this many users")
     p.add_argument("-o", "--output", default=None)
-    p.set_defaults(handler=cmd_table)
 
+
+# subcommand -> (its line in the program's help, the function that adds its
+# arguments, its handler), in the order the help lists them.
+_COMMANDS = {
+    "construct": ("emit a PDA from a named family", _construct_args, cmd_construct),
+    "verify": ("check the axioms of a PDA file", _verify_args, cmd_verify),
+    "bound": ("lower-bound S for a placement", _bound_args, cmd_bound),
+    "search": ("min-max bound over all placements", _search_args, cmd_search),
+    "simulate": ("run the scheme on byte payloads", _simulate_args, cmd_simulate),
+    "fill": ("synthesize a PDA for a star pattern", _fill_args, cmd_fill),
+    "table": ("bound-vs-construction comparison CSV", _table_args, cmd_table),
+}
+
+
+def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The program's parser, with every subcommand and its help line.
+
+    Only `command` gets its arguments and handler, or every subcommand when
+    `command` is None; a subcommand that a command line never reaches
+    needs neither, and building them is a measurable share of start-up.
+    """
+    parser = argparse.ArgumentParser(
+        prog="pda-workbench",
+        description="Construct, verify, bound, fill and simulate placement delivery arrays.",
+        allow_abbrev=False,
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_arguments, handler) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line, allow_abbrev=False)
+        if command is None or command == name:
+            add_arguments(p)
+            p.set_defaults(handler=handler)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse hands the rest of the line to the subcommand named by the
+    # first positional token.  The program takes no option with a value, so
+    # whenever that token is a subcommand it is the first token naming one;
+    # otherwise parsing fails before any subcommand's arguments are read.
+    command = next((token for token in argv if token in _COMMANDS), "")
+    args = _build_parser(command).parse_args(argv)
     try:
         code = args.handler(args)
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit

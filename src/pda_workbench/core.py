@@ -38,8 +38,10 @@ run in `__new__`; `_replace` builds a copy without re-running them.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
-from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 STAR = 0
 
@@ -75,11 +77,15 @@ class PdaParams(namedtuple("PdaParams", "k f z s")):
     @property
     def rate(self) -> Fraction:
         """Transmission load S/F, exact."""
+        from fractions import Fraction
+
         return Fraction(self.s, self.f)
 
     @property
     def memory_ratio(self) -> Fraction:
         """Fraction of the library each user caches, Z/F, exact."""
+        from fractions import Fraction
+
         return Fraction(self.z, self.f)
 
 

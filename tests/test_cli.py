@@ -18,7 +18,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import SIGNAL_TERMS_K6_F4_Z2, golden_grid, replayed_ordering_value
-from pda_workbench.cli import _FAMILIES, EXIT_BUDGET, EXIT_INVALID, EXIT_OK, EXIT_USAGE, main
+from pda_workbench.cli import (
+    _FAMILIES,
+    EXIT_BUDGET,
+    EXIT_INVALID,
+    EXIT_OK,
+    EXIT_USAGE,
+    _build_parser,
+    main,
+)
 from pda_workbench.constructions import bipartite_pda, mn_pda, partition_pda
 from pda_workbench.core import (
     StarPattern,
@@ -1103,27 +1111,37 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
 
 
 MN_4_2 = format_pda(mn_pda(4, 2))
-BASE_MODULES = {"pda_workbench.core", "pda_workbench.constructions"}
+PARTITION_2_2 = format_pda(partition_pda(2, 2))
+BASE_MODULES = {"pda_workbench.core"}
 
 
 @pytest.mark.parametrize(
     "argv, stdin, engines",
     [
         (["--help"], "", set()),
-        (["construct", "mn", "--k", "4", "--t", "2"], "", set()),
+        (["construct", "mn", "--k", "4", "--t", "2"], "", {"constructions"}),
         (["verify"], MN_4_2, set()),
         (["simulate", "--files", "4", "--sample", "5"], MN_4_2, {"simulate"}),
         (["bound"], MN_4_2, {"bounds"}),
+        (
+            ["bound", "--method", "ordered:partition", "--q", "2", "--m", "2"],
+            PARTITION_2_2,
+            {"bounds", "constructions"},
+        ),
         (["search", "--k", "3", "--f", "2", "--z", "1"], "", {"bounds"}),
         (["fill"], MN_4_2, {"bounds", "filler"}),
-        (["table", "--q-list", "2", "--m-max", "2"], "", {"bounds", "formulas"}),
+        (["table", "--q-list", "2", "--m-max", "2"], "", {"bounds", "formulas", "constructions"}),
     ],
-    ids=["help", "construct", "verify", "simulate", "bound", "search", "fill", "table"],
+    ids=[
+        "help", "construct", "verify", "simulate", "bound", "bound-ordered", "search", "fill",
+        "table",
+    ],
 )
 def test_each_subcommand_imports_only_the_engines_it_runs(argv, stdin, engines):
-    # Every CLI process compiles what it imports, so construct, verify and
-    # simulate must not pay for bounds, filler or formulas.  The positive
-    # half shows that -X importtime reports an engine imported on first use.
+    # Every CLI process compiles what it imports, so a subcommand must not
+    # pay for an engine or the family builders that it never calls.  The
+    # positive half shows that -X importtime reports a module imported on
+    # first use.
     proc = subprocess.run(
         [sys.executable, "-X", "importtime", "-m", "pda_workbench.cli", *argv],
         input=stdin, capture_output=True, text=True, timeout=60,
@@ -1138,6 +1156,91 @@ def test_each_subcommand_imports_only_the_engines_it_runs(argv, stdin, engines):
     assert package == BASE_MODULES | {"pda_workbench." + e for e in engines}
 
 
+@pytest.mark.parametrize(
+    "argv, stdin, absent, present",
+    [
+        (["fill", "-o", os.devnull], MN_4_2, {"json", "fractions"}, {"pda_workbench.filler"}),
+        (
+            ["construct", "mn", "--k", "4", "--t", "2", "-o", os.devnull],
+            "",
+            {"json"},
+            {"pda_workbench.constructions"},
+        ),
+        # The control: the snapshot sees a standard module the run loads.
+        (["verify", "--format", "json"], MN_4_2, set(), {"json", "fractions"}),
+    ],
+    ids=["fill", "construct", "verify-json"],
+)
+def test_a_subcommand_loads_json_and_fractions_only_when_it_uses_them(
+    argv, stdin, absent, present
+):
+    # json is loaded only where JSON is written, and fractions (which
+    # brings in decimal and numbers) only where a rate is computed.  The
+    # snapshot keeps the test true where site loads either one first.
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; before = set(sys.modules); from pda_workbench.cli import main;"
+         " code = main(sys.argv[1:]);"
+         " print(' '.join(sorted(set(sys.modules) - before)), file=sys.stderr);"
+         " sys.exit(code)",
+         *argv],
+        input=stdin, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    loaded = set(proc.stderr.splitlines()[-1].split())
+    assert present <= loaded
+    assert not loaded & absent
+
+
+def parse_outcome(parse, argv):
+    """(exit code, stdout, stderr) of a parse that ends the program."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            pytest.raises(SystemExit) as exit_:
+        parse(argv)
+    return exit_.value.code, out.getvalue(), err.getvalue()
+
+
+# Per subcommand ("" is the program itself): one usage error, as a missing
+# required flag, a bad int or a bad choice.
+USAGE_ERRORS = {
+    "": [],
+    "construct": ["construct", "mn", "--k", "x"],
+    "verify": ["verify", "--format", "xml"],
+    "bound": ["bound", "--budget", "x"],
+    "search": ["search", "--k", "3"],
+    "simulate": ["simulate"],
+    "fill": ["fill", "--method", "bad"],
+    "table": ["table", "--m-max", "q"],
+}
+
+
+@pytest.mark.parametrize("command", list(USAGE_ERRORS), ids=lambda c: c or "program")
+def test_a_parser_built_for_one_subcommand_answers_as_the_full_one(command):
+    # main builds the arguments of the invoked subcommand only; its help
+    # and its usage errors must not show that.
+    help_argv = [command, "--help"] if command else ["--help"]
+    for argv in (help_argv, USAGE_ERRORS[command]):
+        full = parse_outcome(_build_parser().parse_args, argv)
+        assert parse_outcome(_build_parser(command).parse_args, argv) == full
+    assert full[0] == EXIT_USAGE and full[2]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--x", "construct", "mn", "--k", "4", "--t", "2"],
+        ["bogus", "fill"],
+        ["--", "verify", "--format", "xml"],
+        ["construct", "--help", "verify"],
+    ],
+    ids=["option-first", "bad-choice-first", "double-dash", "help-then-a-name"],
+)
+def test_main_builds_the_subcommand_that_argparse_reaches(argv):
+    # A subcommand's name need not be the first token of the line.
+    assert parse_outcome(main, argv) == parse_outcome(_build_parser().parse_args, argv)
+
+
 # Every name that the benchmark's per-layer trace patches on the cli module,
 # which it looks up as cli.__dict__[name].
 PATCHED_ON_CLI = (
@@ -1147,6 +1250,8 @@ PATCHED_ON_CLI = (
     "place", "deliver", "decode", "run_sweep",
 )
 ENGINE_MODULES = {
+    "partition_pda": "constructions", "bipartite_pda": "constructions",
+    "mn_pda": "constructions", "grouping_pda": "constructions",
     "theorem1_exact": "bounds", "theorem3_search": "bounds",
     "fill_exact": "filler", "fill_greedy": "filler", "ratio_report": "formulas",
     "place": "simulate", "deliver": "simulate", "decode": "simulate",
@@ -1154,6 +1259,10 @@ ENGINE_MODULES = {
 }
 # Between them these runs call each engine entry point at least once.
 EVERY_ENGINE_RUN = [
+    (["construct", "partition", "--q", "2", "--m", "2"], ""),
+    (["construct", "bipartite", "--m", "5", "--a", "2", "--b", "1"], ""),
+    (["construct", "mn", "--k", "4", "--t", "2"], ""),
+    (["construct", "grouping", "--m", "4", "--a", "1", "--b", "2", "--h", "2"], ""),
     (["bound"], MN_4_2),
     (["search", "--k", "3", "--f", "2", "--z", "1"], ""),
     (["fill"], MN_4_2),
@@ -1221,7 +1330,7 @@ def test_a_wrapper_on_the_cli_sees_each_engine_call_once(warm):
 # change; an import inside the one command that needs it stays free.
 MODULE_LEVEL_IMPORTS = {
     "__future__", "argparse", "collections", "fractions", "functools", "io",
-    "itertools", "json", "math", "os", "random", "sys", "time", "types", "typing",
+    "itertools", "math", "os", "random", "sys", "time", "types", "typing",
     "pda_workbench.bounds", "pda_workbench.constructions", "pda_workbench.core",
 }
 
