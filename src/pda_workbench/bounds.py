@@ -284,18 +284,24 @@ def partition_ordering(q: int, m: int) -> UserOrdering:
     """Maximizing ordering for the partition PDA's columns.
 
     Visit the value-q column of each of the first m coordinates, then the
-    checksum-coordinate columns (m+1, v) with the v's sorted by how many
-    star-q rows they cut (descending, ties by v), then everything else in
-    plain column order.  The tail never changes the sum: by then the
-    running intersection is empty.
-    """
-    from .constructions import partition_column_id, partition_residue_buckets
+    checksum-coordinate columns (m+1, v), then everything else in plain
+    column order.  The tail never changes the sum: by then the running
+    intersection is empty.
 
-    buckets = partition_residue_buckets(q, m)
+    Column (m+1, v) cuts the rows left with checksum residue v, so the
+    smaller residue class goes first.  By the two-size law (proved in
+    `formulas.partition_bound_closed`) residue q's class is the smaller
+    one, by one row, exactly when m is odd: the checksum columns run
+    q, 1..q-1 at odd m and 1..q at even m.
+    """
+    from .constructions import _check_partition, partition_column_id
+
+    _check_partition(q, m)
     head = [partition_column_id(q, u, q) for u in range(1, m + 1)]
-    tail_vs = sorted(range(1, q + 1), key=lambda v: (-buckets[v], v))
+    tail_vs = [q, *range(1, q)] if m % 2 else range(1, q + 1)
     head += [partition_column_id(q, m + 1, v) for v in tail_vs]
-    rest = [k for k in range(1, (m + 1) * q + 1) if k not in set(head)]
+    seen = set(head)
+    rest = [k for k in range(1, (m + 1) * q + 1) if k not in seen]
     return tuple(head + rest)
 
 
@@ -308,10 +314,9 @@ def bipartite_ordering(m: int, a: int, b: int) -> UserOrdering:
     C(m-a-i, b); the within-stage order is immaterial for the sum.  Users
     are returned as column ids (lex ranks of the subsets).
     """
-    from .constructions import subsets
+    from .constructions import _check_bipartite, subsets
 
-    if a < 1 or b < 1 or a + b > m:
-        raise ValueError(f"need a, b >= 1 and a+b <= m, got m={m}, a={a}, b={b}")
+    _check_bipartite(m, a, b)
     rank = {s: i + 1 for i, s in enumerate(subsets(m, a))}
     order = [rank[tuple(range(1, a + 1))]]
     for i in range(1, m - a + 1):

@@ -96,26 +96,6 @@ def partition_column_id(q: int, u: int, v: int) -> int:
     return (u - 1) * q + v
 
 
-def partition_residue_buckets(q: int, m: int) -> Dict[int, int]:
-    """How many tails (f_2..f_m) over [q-1] hit each residue <sum>_q.
-
-    Counted by dynamic programming over the m-1 tail coordinates (an empty
-    tail sums to 0, i.e. residue q).  Total across residues is (q-1)^(m-1).
-    """
-    _check_partition(q, m)
-    counts = {v: 0 for v in range(1, q + 1)}
-    counts[q] = 1
-    for _ in range(m - 1):
-        nxt = {v: 0 for v in range(1, q + 1)}
-        for v, n in counts.items():
-            if not n:
-                continue
-            for step in range(1, q):
-                nxt[residue_q(v + step, q)] += n
-        counts = nxt
-    return counts
-
-
 def partition_pda(q: int, m: int) -> PdaGrid:
     """Build the ((m+1)q, q^m, q^(m-1), (q-1)q^m) partition PDA.
 

@@ -38,7 +38,7 @@ run in `__new__`; `_replace` builds a copy without re-running them.
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import TYPE_CHECKING, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -186,15 +186,16 @@ class StarPattern(namedtuple("StarPattern", "f masks")):
         return self.f - sizes.pop()
 
 
-def _mask_to_rows(mask: int) -> Tuple[int, ...]:
-    rows = []
-    j = 1
+def _bits(mask: int) -> Iterator[int]:
+    """The indices of the set bits of `mask`, lowest first."""
     while mask:
-        if mask & 1:
-            rows.append(j)
-        mask >>= 1
-        j += 1
-    return tuple(rows)
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _mask_to_rows(mask: int) -> Tuple[int, ...]:
+    return tuple(i + 1 for i in _bits(mask))
 
 
 class Violation(NamedTuple):

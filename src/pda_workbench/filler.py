@@ -41,10 +41,10 @@ neighbor-color bitmask, and per color a neighbor bitmask.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .bounds import theorem1_exact
-from .core import DEFAULT_COLOR_BUDGET, STAR, PdaGrid, StarPattern, _mask_to_rows
+from .core import DEFAULT_COLOR_BUDGET, STAR, PdaGrid, StarPattern, _bits, _mask_to_rows
 
 _BOUND_BUDGET = 1_000_000  # intersections for the ordering lower bound
 
@@ -222,14 +222,6 @@ def _toggle(
         neighbor_colors[u] ^= bit
         score[u] += step
         touched ^= low
-
-
-def _bits(mask: int) -> Iterator[int]:
-    """The indices of the set bits of `mask`, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _classes_of_size(

@@ -27,9 +27,10 @@ def partition_bound_closed(q: int, m: int) -> int:
     Proof.  The m head columns (u, q) leave (q-1)^h q^(m-h) rows at step h,
     (q-1)(q^m - N) in all, where N = (q-1)^m.  By the two-size law, (N +
     (-1)^m (q-1))/q of those N rows have checksum residue q and
-    (N - (-1)^m)/q have each other residue.  At either parity the bucket
-    sort cuts the smaller class first, so the q checksum steps sum to
-    (q-1)(N + 1)/2.  The paper's odd-m constant (q-1)/q is thus (q-1)/2.
+    (N - (-1)^m)/q have each other residue.  At either parity
+    `partition_ordering` cuts the smaller class first, so the q checksum
+    steps sum to (q-1)(N + 1)/2.  The paper's odd-m constant (q-1)/q is
+    thus (q-1)/2.
     """
     if q < 2 or m < 2:
         raise ValueError(f"need q >= 2 and m >= 2, got q={q}, m={m}")
@@ -61,15 +62,6 @@ class RatioReport(
         return super().__new__(
             cls, q, m, s_pda, s_derived, s_exact, mu, formula_ratio
         )
-
-
-def formula_ratio(q: int, m: int) -> Fraction:
-    """Ratio of the derived bound to the construction's symbol count.
-
-    1 - ((q-1)/q)^m / 2 + 1/(2 q^m) = 1 - ((q-1)^m - 1)/(2 q^m), which is
-    exactly 1 at q=2 and strictly below 1 for every q >= 3.
-    """
-    return 1 - Fraction((q - 1) ** m, 2 * q ** m) + Fraction(1, 2 * q ** m)
 
 
 def ratio_report(
@@ -106,5 +98,5 @@ def ratio_report(
         s_derived=s_derived,
         s_exact=s_exact,
         mu=None if s_exact is None else Fraction(s_exact, s_derived),
-        formula_ratio=formula_ratio(q, m),
+        formula_ratio=Fraction(s_derived, s_pda),
     )

@@ -19,9 +19,11 @@ from conftest import (
 from test_core import oracle_broken_axioms
 from test_bounds import brute_force_max
 from test_formulas import (
+    checksum_order,
     fiber_closed_form,
     fiber_survivors_from_construction,
     phi,
+    residue_counts,
     stage_sum,
     two_size_law,
     union_sum,
@@ -40,7 +42,6 @@ from pda_workbench.constructions import (
     grouping_pda,
     mn_pda,
     partition_pda,
-    partition_residue_buckets,
 )
 from pda_workbench.core import (
     STAR,
@@ -239,20 +240,17 @@ def test_acceptance_8_property_suites():
             cases += 1
     assert cases >= 100
 
-    # (e) residue class sizes against direct enumeration
+    # (e) the checksum columns' visiting order against residue class sizes
+    # counted by direct enumeration
     cases = 0
     for q in range(2, 7):
         for m in range(1, 9):
-            brute = {v: 0 for v in range(1, q + 1)}
-            for tail in itertools.product(range(1, q), repeat=m - 1):
-                r = sum(tail) % q
-                brute[r if r else q] += 1
-            counts = partition_residue_buckets(q, m)
-            for v in range(1, q + 1):
-                assert counts[v] == brute[v], (q, m, v)
-                cases += 1
+            brute = residue_counts(q, m)
+            want = sorted(brute, key=lambda v: (-brute[v], v))
+            assert checksum_order(q, m) == want, (q, m)
+            cases += q
             if m > 1:
-                assert sorted(counts.values()) == two_size_law(q, m), (q, m)
+                assert sorted(brute.values()) == two_size_law(q, m), (q, m)
     assert cases >= 100
 
     # (f) fiber intersection cardinalities against the real row lists

@@ -7,6 +7,7 @@ from math import comb
 import pytest
 
 from conftest import BIPARTITE_M5_A2_B1, GRID_K4_F6_Z3, PARTITION_Q3_M2
+from pda_workbench.bounds import partition_ordering
 from pda_workbench.constructions import (
     BipartiteSpec,
     PartitionSpec,
@@ -16,7 +17,6 @@ from pda_workbench.constructions import (
     partition_column_id,
     partition_columns,
     partition_pda,
-    partition_residue_buckets,
     partition_rows,
     residue_q,
     subsets,
@@ -100,8 +100,11 @@ def test_residue_buckets_against_enumeration(q, m):
     counts = {v: 0 for v in range(1, q + 1)}
     for tail in itertools.product(range(1, q), repeat=m - 1):
         counts[residue_q(sum(tail), q)] += 1
-    assert partition_residue_buckets(q, m) == counts
     assert sum(counts.values()) == (q - 1) ** (m - 1)
+    cols = partition_columns(q, m)
+    visited = [cols[k - 1] for k in partition_ordering(q, m)[m : m + q]]
+    assert [u for u, _ in visited] == [m + 1] * q
+    assert [v for _, v in visited] == sorted(counts, key=lambda v: (-counts[v], v))
 
 
 @pytest.mark.parametrize("q,m", [(1, 2), (0, 1), (2, 0), (2, 13), (5, 6)])

@@ -1,9 +1,9 @@
 """Closed forms against independent enumerations.
 
 The paper's proof arithmetic is stated here in its shortest form, next to
-an oracle that never calls it: residue classes are counted by the
-construction's own bucketing, fibers are rebuilt from the actual
-construction rows, and the bound constants are compared against the
+an oracle that never calls it: residue classes are counted by
+enumeration and checked against the order `partition_ordering` visits
+them in, fibers are rebuilt from the actual construction rows, and the bound constants are compared against the
 prescribed-ordering evaluation on real patterns.
 """
 
@@ -17,15 +17,14 @@ from conftest import replayed_ordering_value
 from pda_workbench import formulas
 from pda_workbench.bounds import eval_ordering, partition_ordering
 from pda_workbench.constructions import (
+    partition_columns,
     partition_pda,
-    partition_residue_buckets,
     partition_rows,
     residue_q,
 )
 from pda_workbench.core import to_star_pattern
 from pda_workbench.formulas import (
     RatioReport,
-    formula_ratio,
     partition_bound_closed,
     ratio_report,
 )
@@ -74,18 +73,34 @@ def two_size_law(q, m):
     return [size // q for size in sizes]
 
 
+def residue_counts(q, m):
+    """How many tails (f_2..f_m) over [q-1] hit each residue <sum>_q, by
+    enumeration."""
+    counts = {v: 0 for v in range(1, q + 1)}
+    for tail in itertools.product(range(1, q), repeat=m - 1):
+        counts[residue_q(sum(tail), q)] += 1
+    return counts
+
+
+def checksum_order(q, m):
+    """The v's of the checksum columns (m+1, v), in the order
+    `partition_ordering` visits them."""
+    cols = partition_columns(q, m)
+    visited = [cols[k - 1] for k in partition_ordering(q, m)[m : m + q]]
+    assert all(u == m + 1 for u, _ in visited), visited
+    return [v for _, v in visited]
+
+
 @pytest.mark.parametrize("q,m", [(q, m) for q in range(2, 7) for m in range(1, 9)])
 def test_residue_class_sizes_match_enumeration(q, m):
-    brute = {v: 0 for v in range(1, q + 1)}
-    for tail in itertools.product(range(1, q), repeat=m - 1):
-        brute[residue_q(sum(tail), q)] += 1
-    assert partition_residue_buckets(q, m) == brute
+    brute = residue_counts(q, m)
     assert sum(brute.values()) == (q - 1) ** (m - 1)
+    assert checksum_order(q, m) == sorted(brute, key=lambda v: (-brute[v], v))
 
 
 @pytest.mark.parametrize("q,m", [(q, m) for q in range(2, 7) for m in range(2, 9)])
 def test_two_size_law_with_parity_dependent_exception(q, m):
-    assert sorted(partition_residue_buckets(q, m).values()) == two_size_law(q, m)
+    assert sorted(residue_counts(q, m).values()) == two_size_law(q, m)
 
 
 # ---------------------------------------------------------------------------
@@ -234,21 +249,21 @@ def union_sum(pattern, order):
 def test_formula_ratio_is_derived_over_construction():
     for q in (2, 3, 4, 5):
         for m in (2, 3, 4):
-            assert formula_ratio(q, m) == Fraction(
+            assert ratio_report(q, m).formula_ratio == Fraction(
                 partition_bound_closed(q, m), (q - 1) * q ** m
             )
-    assert formula_ratio(3, 2) == Fraction(5, 6)
-    assert formula_ratio(3, 3) == Fraction(47, 54)
+    assert ratio_report(3, 2).formula_ratio == Fraction(5, 6)
+    assert ratio_report(3, 3).formula_ratio == Fraction(47, 54)
 
 
-@pytest.mark.parametrize("m", range(1, 11))
+@pytest.mark.parametrize("m", range(2, 11))
 def test_formula_ratio_is_exactly_one_at_q2(m):
-    assert formula_ratio(2, m) == 1
+    assert ratio_report(2, m).formula_ratio == 1
 
 
 @pytest.mark.parametrize("q", range(3, 9))
 def test_formula_ratio_strictly_below_one_otherwise(q):
-    assert all(formula_ratio(q, m) < 1 for m in range(1, 9))
+    assert all(ratio_report(q, m).formula_ratio < 1 for m in range(2, 9))
 
 
 def test_ratio_report_q2_closes_without_searching():
