@@ -10,17 +10,18 @@ covered by one signal.
 
 The work splits in two.  Which cells share a symbol is fixed by the array,
 so the schedule (the symbols in id order with their sorted terms and the
-check that none repeats a row or column, the decode log, and for each
-user which rows it caches and which signal and cancellation terms serve
-the rest) is built once per array and memoised by grid content.  Only
-the payloads depend on the demand.  For one demand, delivery XORs each
-symbol's packets, and decoding XORs each signal with the cancellation
-terms taken from the user's own cache, one fold of packet bytes
-(`_xor_fold`) per signal or cell.
-A sweep proves the rest from the schedule.  Where every entry a row reads
-is the library's own packet object, C3 makes the signal less its other
-terms equal W[d_k, j] for every demand, so per demand the sweep XOR-checks,
-as decoding would, only the rows that read an entry of another object.
+check that none repeats a row or column, and for each user which rows it
+caches and which signal and cancellation terms serve the rest) is built
+once per array and memoised by grid content.  Only the payloads depend on
+the demand.  For one demand, delivery XORs each symbol's packets, and
+decoding XORs each signal with the cancellation terms taken from the
+user's own cache, one fold of packet bytes (`_xor_fold`) per signal or
+cell.
+A sweep either proves every demand from the schedule or decodes each one.
+Where every cache entry a user reads is the library's own packet object,
+C3 makes the signal less its other terms equal W[d_k, j] for every demand,
+so the sweep only validates and counts the demands; otherwise it delivers
+each demand and runs `decode` on it.
 
 Nothing memoises the payloads: the caches share the library's packet
 objects, and a fold converts each packet when it reads it.  Every packet
@@ -44,8 +45,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from types import MappingProxyType
-from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .core import DEFAULT_PACKET_LEN, STAR, PdaGrid, pda_params
 
@@ -182,11 +182,11 @@ def place(grid: PdaGrid, lib: FileLibrary) -> List[Cache]:
 
 
 class _Schedule(NamedTuple):
-    """Everything delivery and decoding need of one array, whatever the demand."""
+    """Everything delivery, decoding and a sweep's proof need of one array,
+    whatever the demand."""
 
     symbols: Tuple[Tuple[int, Tuple[Term, ...]], ...]  # (id, sorted terms), by id
     repeated: Optional[int]  # the first symbol that repeats a row or column
-    decode_log: Mapping[Term, int]  # read-only; each transcript gets a copy
     # rows[k - 1][j - 1]: None if user k caches row j, else (signal id, the
     # signal's other terms, which user k cancels out of its cache)
     rows: Tuple[Tuple[Optional[Tuple[int, Tuple[Term, ...]]], ...], ...]
@@ -195,12 +195,12 @@ class _Schedule(NamedTuple):
 @lru_cache(maxsize=8)
 def _schedule(grid: PdaGrid) -> _Schedule:
     by_symbol: Dict[int, List[Term]] = {}
-    decode_log: Dict[Term, int] = {}
+    symbol_at: Dict[Term, int] = {}
     for j, row in enumerate(grid.cells, start=1):
         for k, s in enumerate(row, start=1):
             if s != STAR:
                 by_symbol.setdefault(s, []).append((k, j))
-                decode_log[(k, j)] = s
+                symbol_at[(k, j)] = s
     symbols = tuple((s, tuple(sorted(by_symbol[s]))) for s in sorted(by_symbol))
     terms_of = dict(symbols)
 
@@ -209,13 +209,12 @@ def _schedule(grid: PdaGrid) -> _Schedule:
         return len(set(users)) < len(terms) or len(set(rows)) < len(terms)
 
     def entry(k: int, j: int) -> Optional[Tuple[int, Tuple[Term, ...]]]:
-        s = decode_log.get((k, j))
+        s = symbol_at.get((k, j))
         return None if s is None else (s, tuple(t for t in terms_of[s] if t != (k, j)))
 
     return _Schedule(
         symbols=symbols,
         repeated=next((s for s, terms in symbols if repeats(terms)), None),
-        decode_log=MappingProxyType(decode_log),
         rows=tuple(
             tuple(entry(k, j) for j in range(1, grid.f + 1)) for k in range(1, grid.k + 1)
         ),
@@ -235,15 +234,14 @@ def deliver(grid: PdaGrid, lib: FileLibrary, d: Sequence[int]) -> DeliveryTransc
     for s, terms in schedule.symbols:
         payload = _xor_fold((lib.packet(d[k - 1], j) for k, j in terms), n)
         signals.append(Signal(id=s, terms=terms, payload=payload.to_bytes(n, "little")))
-    return DeliveryTranscript(
-        demand=d, signals=tuple(signals), decode_log=schedule.decode_log.copy()
-    )
+    decode_log = {(k, j): entry[0] for k, rows in enumerate(schedule.rows, start=1)
+                  for j, entry in enumerate(rows, start=1) if entry is not None}
+    return DeliveryTranscript(demand=d, signals=tuple(signals), decode_log=decode_log)
 
 
 class DecodeResult(NamedTuple):
     files: Tuple[bytes, ...]  # per user, the reassembled requested file
     ok: bool
-    log: Dict[Tuple[int, int], int]
 
 
 def decode(
@@ -282,7 +280,7 @@ def decode(
             parts.append((payload_of[sid] ^ _xor_fold(terms, n)).to_bytes(n, "little"))
         files.append(b"".join(parts))
     ok = all(file == lib.file_bytes(want) for file, want in zip(files, d))
-    return DecodeResult(files=tuple(files), ok=ok, log=dict(transcript.decode_log))
+    return DecodeResult(files=tuple(files), ok=ok)
 
 
 def all_demands(n: int, k: int) -> Iterator[Tuple[int, ...]]:
@@ -336,22 +334,6 @@ class SweepResult(
         return hash(self[:-1])
 
 
-def _row_fails(lib: FileLibrary, cache: Cache, d: Tuple[int, ...], k: int, j: int,
-               entry: Optional[Tuple[int, Tuple[Term, ...]]]) -> bool:
-    """Whether user k, holding `cache`, fails to recover W[d_k, j] as decode
-    would: a cached row must be the library's packet; for an uncached row
-    every cancellation entry must be present and `packet_len` long, and their
-    XOR must be that of the library's packets for the same terms."""
-    if entry is None:
-        return cache.get((d[k - 1], j)) != lib.packet(d[k - 1], j)
-    others = entry[1]
-    found = [cache.get((d[k2 - 1], j2)) for k2, j2 in others]
-    if any(p is None or len(p) != lib.packet_len for p in found):
-        return True
-    wanted = (lib.packet(d[k2 - 1], j2) for k2, j2 in others)
-    return _xor_fold(found, lib.packet_len) != _xor_fold(wanted, lib.packet_len)
-
-
 def run_sweep(
     grid: PdaGrid,
     lib: FileLibrary,
@@ -359,29 +341,30 @@ def run_sweep(
 ) -> SweepResult:
     """Deliver and decode every demand; report byte-exactness across all.
 
-    Caches are placed once and shared by every demand, the array's schedule
-    is built once, and only the first demand is delivered.  Each later one
-    is decoded, as `decode` would, at the rows that read a cache entry other
-    than the library's own packet; by C3 every other row decodes for every
-    demand.  A demand fails
-    when the array has other than S symbols, a cache entry a user needs is
-    missing or of the wrong length, or a decoded or cached row differs from
-    the library.  Every demand is validated, and the first failure in input
-    order is reported.
+    Caches are placed once and shared by every demand, and the array's
+    schedule is built once.  The sweep proves the demands from the schedule
+    when the array has S symbols and every cache entry a user reads (its
+    cached rows and its signals' other terms) is the library's own packet:
+    by C3 each user then recovers its file for every demand.  Otherwise
+    each demand is delivered and decoded: it fails when `decode` misses a
+    cache entry or folds one of the wrong length, or a file differs from
+    the library, and every demand fails when the array has other than S
+    symbols.  Only the first demand is delivered on a proved sweep.  Every
+    demand is validated, and the first failure in input order is reported.
     """
     start = time.perf_counter()
     params = pda_params(grid)
     caches = place(grid, lib)
     schedule = _schedule(grid)
     terms_per_demand = sum(len(terms) ** 2 for _, terms in schedule.symbols)
-    # (k, j) where user k's entries for row j are not the library's own objects
-    foreign = {(k, j) for k, cache in enumerate(caches, start=1) for j in range(1, grid.f + 1)
-               if not all(cache.get((n, j)) is lib.packet(n, j) for n in range(1, lib.n + 1))}
-    # every other row decodes by C3 for every demand: its XOR cancels the library's own packets
-    suspects = [(k, j, entry) for k, rows in enumerate(schedule.rows, start=1)
-                for j, entry in enumerate(rows, start=1)
-                if ((k, j) in foreign if entry is None
-                    else any((k, j2) in foreign for _, j2 in entry[1]))]
+    has_s_symbols = len(schedule.symbols) == params.s
+    # (user k, row j) of each cache row a user reads: its cached rows and the
+    # rows of its signals' other terms
+    read = {(k, j2) for k, rows in enumerate(schedule.rows, start=1)
+            for j, entry in enumerate(rows, start=1)
+            for j2 in ([j] if entry is None else [t[1] for t in entry[1]])}
+    proved = has_s_symbols and all(caches[k - 1].get((n, j)) is lib.packet(n, j)
+                                   for k, j in read for n in range(1, lib.n + 1))
     checked = 0
     first_failure = None
     for d in map(tuple, demands):
@@ -393,9 +376,14 @@ def run_sweep(
                       lib.packet_len)
         _check_demand(grid, lib, d)
         checked += 1
-        if first_failure is None and (len(schedule.symbols) != params.s or any(
-                _row_fails(lib, caches[k - 1], d, k, j, entry) for k, j, entry in suspects)):
-            first_failure = d
+        if first_failure is None and not proved:
+            transcript = deliver(grid, lib, d)
+            try:
+                ok = has_s_symbols and decode(grid, transcript, caches, d, lib).ok
+            except (DecodeError, KeyError, ValueError):  # a missing or wrong-length entry
+                ok = False
+            if not ok:
+                first_failure = d
     return SweepResult(
         demands_checked=checked,
         all_ok=first_failure is None,

@@ -1,13 +1,11 @@
 """Constructions against the frozen arrays and their parameter formulas."""
 
-import itertools
 from collections import Counter
 from math import comb
 
 import pytest
 
 from conftest import BIPARTITE_M5_A2_B1, GRID_K4_F6_Z3, PARTITION_Q3_M2
-from pda_workbench.bounds import partition_ordering
 from pda_workbench.constructions import (
     BipartiteSpec,
     PartitionSpec,
@@ -93,18 +91,6 @@ def test_partition_sweep_valid_with_expected_params(q, m):
 
 def test_residue_q():
     assert [residue_q(x, 3) for x in range(7)] == [3, 1, 2, 3, 1, 2, 3]
-
-
-@pytest.mark.parametrize("q,m", [(q, m) for q in range(2, 7) for m in range(1, 6)])
-def test_residue_buckets_against_enumeration(q, m):
-    counts = {v: 0 for v in range(1, q + 1)}
-    for tail in itertools.product(range(1, q), repeat=m - 1):
-        counts[residue_q(sum(tail), q)] += 1
-    assert sum(counts.values()) == (q - 1) ** (m - 1)
-    cols = partition_columns(q, m)
-    visited = [cols[k - 1] for k in partition_ordering(q, m)[m : m + q]]
-    assert [u for u, _ in visited] == [m + 1] * q
-    assert [v for _, v in visited] == sorted(counts, key=lambda v: (-counts[v], v))
 
 
 @pytest.mark.parametrize("q,m", [(1, 2), (0, 1), (2, 0), (2, 13), (5, 6)])
