@@ -23,15 +23,15 @@ from __future__ import annotations
 
 from collections import namedtuple
 from itertools import combinations, islice
-from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 # canonical_pattern is not called here; bench/layers.py patches it by this name.
 from .core import DEFAULT_NODE_BUDGET, StarPattern, canonical_pattern  # noqa: F401
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from fractions import Fraction
-
-UserOrdering = Tuple[int, ...]
+    from typing import Dict, List, Optional, Sequence, Tuple
+    UserOrdering = Tuple[int, ...]
 
 
 class BoundCertificate(
@@ -83,7 +83,9 @@ class BoundCertificate(
         }
 
 
-class SearchReport(NamedTuple):
+class SearchReport(
+    namedtuple("SearchReport", "k f z best_value best_pattern nodes_explored dedup_hits exhaustive")
+):
     """Outcome of the min-max placement search.
 
     best_value is the least exact bound found and best_pattern a placement
@@ -94,14 +96,7 @@ class SearchReport(NamedTuple):
     best_value is the true min-max; otherwise it may overshoot.
     """
 
-    k: int
-    f: int
-    z: int
-    best_value: int
-    best_pattern: StarPattern
-    nodes_explored: int
-    dedup_hits: int
-    exhaustive: bool
+    __slots__ = ()
 
     @property
     def rate_bound(self) -> Fraction:
@@ -110,15 +105,13 @@ class SearchReport(NamedTuple):
         return Fraction(self.best_value, self.f)
 
     def as_dict(self) -> dict:
+        rb = self.rate_bound
         return {
             "k": self.k,
             "f": self.f,
             "z": self.z,
             "best_value": self.best_value,
-            "rate_bound": {
-                "num": self.rate_bound.numerator,
-                "den": self.rate_bound.denominator,
-            },
+            "rate_bound": {"num": rb.numerator, "den": rb.denominator},
             "witness_uncached_sets": [
                 sorted(rows) for rows in self.best_pattern.uncached_sets()
             ],

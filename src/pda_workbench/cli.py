@@ -22,7 +22,6 @@ import argparse
 import io
 import os
 import sys
-from typing import TYPE_CHECKING, Callable, Optional, Sequence, Tuple
 
 from .core import (
     DEFAULT_COLOR_BUDGET,
@@ -41,8 +40,10 @@ from .core import (
     verify_pda,
 )
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from fractions import Fraction
+    from typing import Callable, Optional, Sequence, Tuple
 
 
 def _engine(module: str, name: str) -> Callable:

@@ -15,11 +15,15 @@
 
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import combinations
 from math import comb
-from typing import Dict, List, NamedTuple, Tuple
 
 from .core import MAX_ROWS, STAR, PdaGrid, PdaParams
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Dict, List, Tuple
 
 # Columns are capped like rows, so that no family asks for a grid of more
 # than MAX_ROWS^2 cells.
@@ -122,9 +126,8 @@ def partition_pda(q: int, m: int) -> PdaGrid:
     return PdaGrid(tuple(cells))
 
 
-class PartitionSpec(NamedTuple):
-    q: int
-    m: int
+class PartitionSpec(namedtuple("PartitionSpec", "q m")):
+    __slots__ = ()
 
     def expected_params(self) -> PdaParams:
         q, m = self.q, self.m
@@ -191,11 +194,8 @@ def grouping_pda(m: int, a: int, b: int, h: int) -> PdaGrid:
     return PdaGrid(tuple(cells))
 
 
-class BipartiteSpec(NamedTuple):
-    m: int
-    a: int
-    b: int
-    h: int = 1
+class BipartiteSpec(namedtuple("BipartiteSpec", "m a b h", defaults=(1,))):
+    __slots__ = ()
 
     def expected_params(self) -> PdaParams:
         m, a, b, h = self.m, self.a, self.b, self.h

@@ -29,19 +29,21 @@ the benchmark stops patching it.
 Internally stars are stored as 0 (`STAR`) and symbols as positive ints.
 All external formats and reports are 1-based.
 
-The records here and in the other modules are immutable named tuples, so
-they unpack, compare, hash and sort like plain tuples of their fields
-(a `PdaGrid` is the 1-tuple `(cells,)`).  Their checks and normalisation
-run in `__new__`; `_replace` builds a copy without re-running them.
+The records here and in the other modules are `collections.namedtuple`
+subclasses with `__slots__ = ()`, so they are immutable and unpack,
+compare, hash and sort like plain tuples of their fields (a `PdaGrid` is
+the 1-tuple `(cells,)`).  Their checks and normalisation run in
+`__new__`; `_replace` builds a copy without re-running them.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import TYPE_CHECKING, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from fractions import Fraction
+    from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 STAR = 0
 
@@ -198,7 +200,7 @@ def _mask_to_rows(mask: int) -> Tuple[int, ...]:
     return tuple(i + 1 for i in _bits(mask))
 
 
-class Violation(NamedTuple):
+class Violation(namedtuple("Violation", "axiom cells detail", defaults=("",))):
     """One broken axiom with the offending 1-based cells.
 
     C3a/C3b carry the two same-symbol cells.  C1 anchors the mismatched
@@ -206,9 +208,7 @@ class Violation(NamedTuple):
     `detail` says what went wrong in either case.
     """
 
-    axiom: str
-    cells: Tuple[Tuple[int, int], ...]
-    detail: str = ""
+    __slots__ = ()
 
 
 class VerifyResult(namedtuple("VerifyResult", "valid violations")):

@@ -41,19 +41,24 @@ neighbor-color bitmask, and per color a neighbor bitmask.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from collections import namedtuple
 
 from .bounds import theorem1_exact
 from .core import DEFAULT_COLOR_BUDGET, STAR, PdaGrid, StarPattern, _bits, _mask_to_rows
 
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Dict, List, Optional, Sequence, Tuple
+
 _BOUND_BUDGET = 1_000_000  # intersections for the ordering lower bound
 
 
-class ConflictGraph(NamedTuple):
+class ConflictGraph(namedtuple("ConflictGraph", "vertices adj")):
     """Non-star cells and the pairs that must not share a symbol."""
 
-    vertices: Tuple[Tuple[int, int], ...]  # (row j, user k), row-major
-    adj: Tuple[int, ...]  # neighbor bitmask per vertex (bit u = vertex u)
+    # vertices: (row j, user k), row-major
+    # adj: neighbor bitmask per vertex (bit u = vertex u)
+    __slots__ = ()
 
     @property
     def n(self) -> int:
@@ -141,7 +146,9 @@ def fill_greedy(pattern: StarPattern) -> PdaGrid:
     return _grid_from_coloring(pattern, graph, _greedy_coloring(graph))
 
 
-class FillResult(NamedTuple):
+class FillResult(
+    namedtuple("FillResult", "grid colors optimal lower_bound class_size", defaults=(None,))
+):
     """Outcome of an exact fill: the grid, its symbol count, and the proof
     state (optimal=True means the search closed the gap to lower_bound or
     exhausted every smaller color count).  class_size names the bound that
@@ -149,11 +156,7 @@ class FillResult(NamedTuple):
     symbol class can hold, for the symbol-class bound ceil(n / alpha) (one
     more when alpha divides n and no exact cover by alpha-classes exists)."""
 
-    grid: PdaGrid
-    colors: int
-    optimal: bool
-    lower_bound: int
-    class_size: Optional[int] = None
+    __slots__ = ()
 
 
 def _saturation_search(

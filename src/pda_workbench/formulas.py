@@ -10,11 +10,14 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from typing import Optional
 
 from .bounds import theorem1_exact
 from .constructions import partition_pda
 from .core import to_star_pattern
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Optional
 
 _EXACT_BUDGET = 2_000_000  # intersections for ratio_report's exact bound
 

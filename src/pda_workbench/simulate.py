@@ -15,8 +15,8 @@ caches and which signal and cancellation terms serve the rest) is built
 once per array and memoised by grid content.  Only the payloads depend on
 the demand.  For one demand, delivery XORs each symbol's packets, and
 decoding XORs each signal with the cancellation terms taken from the
-user's own cache, one fold of packet bytes (`_xor_fold`) per signal or
-cell.
+user's own cache, one fold of packet bytes (`_xor_fold`) per signal or cell.
+
 A sweep either proves every demand from the schedule or decodes each one.
 Where every cache entry a user reads is the library's own packet object,
 C3 makes the signal less its other terms equal W[d_k, j] for every demand,
@@ -45,15 +45,17 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .core import DEFAULT_PACKET_LEN, STAR, PdaGrid, pda_params
 
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+    Cache = Dict[Tuple[int, int], bytes]  # (file n, row j) -> packet
+    Term = Tuple[int, int]  # (user k, row j) of one cell
+
 _MAX_PACKET_LEN = (1 << 28) - 1  # randbytes on Python 3.11 draws 8 * len bits via a C int
 _MAX_LIBRARY_BYTES = 1 << 31  # N*F packets, each with its bytes header and a tuple slot
-
-Cache = Dict[Tuple[int, int], bytes]  # (file n, row j) -> packet
-Term = Tuple[int, int]  # (user k, row j) of one cell
 
 
 class DecodeError(Exception):
@@ -80,13 +82,11 @@ def _xor_fold(packets: Iterable[bytes], length: int) -> int:
     return acc
 
 
-class FileLibrary(NamedTuple):
+class FileLibrary(namedtuple("FileLibrary", "n f packet_len packets")):
     """N files of F equal-length packets each."""
 
-    n: int
-    f: int
-    packet_len: int
-    packets: Tuple[Tuple[bytes, ...], ...]  # [file-1][row-1]
+    # packets[file-1][row-1]
+    __slots__ = ()
 
     @classmethod
     def generate(
@@ -121,16 +121,14 @@ class FileLibrary(NamedTuple):
         return b"".join(self.packets[n - 1])
 
 
-class Signal(NamedTuple):
-    id: int
-    terms: Tuple[Tuple[int, int], ...]  # (user, row), sorted
-    payload: bytes
+class Signal(namedtuple("Signal", "id terms payload")):
+    # terms: (user, row), sorted
+    __slots__ = ()
 
 
-class DeliveryTranscript(NamedTuple):
-    demand: Tuple[int, ...]
-    signals: Tuple[Signal, ...]
-    decode_log: Dict[Tuple[int, int], int]  # (user, row) -> signal id
+class DeliveryTranscript(namedtuple("DeliveryTranscript", "demand signals decode_log")):
+    # decode_log: (user, row) -> signal id
+    __slots__ = ()
 
     def as_dict(self) -> dict:
         return {
@@ -181,15 +179,15 @@ def place(grid: PdaGrid, lib: FileLibrary) -> List[Cache]:
     return caches
 
 
-class _Schedule(NamedTuple):
+class _Schedule(namedtuple("_Schedule", "symbols repeated rows")):
     """Everything delivery, decoding and a sweep's proof need of one array,
     whatever the demand."""
 
-    symbols: Tuple[Tuple[int, Tuple[Term, ...]], ...]  # (id, sorted terms), by id
-    repeated: Optional[int]  # the first symbol that repeats a row or column
+    # symbols: (id, sorted terms), by id
+    # repeated: the first symbol that repeats a row or column
     # rows[k - 1][j - 1]: None if user k caches row j, else (signal id, the
     # signal's other terms, which user k cancels out of its cache)
-    rows: Tuple[Tuple[Optional[Tuple[int, Tuple[Term, ...]]], ...], ...]
+    __slots__ = ()
 
 
 @lru_cache(maxsize=8)
@@ -239,9 +237,9 @@ def deliver(grid: PdaGrid, lib: FileLibrary, d: Sequence[int]) -> DeliveryTransc
     return DeliveryTranscript(demand=d, signals=tuple(signals), decode_log=decode_log)
 
 
-class DecodeResult(NamedTuple):
-    files: Tuple[bytes, ...]  # per user, the reassembled requested file
-    ok: bool
+class DecodeResult(namedtuple("DecodeResult", "files ok")):
+    # files: per user, the reassembled requested file
+    __slots__ = ()
 
 
 def decode(

@@ -1114,29 +1114,29 @@ MN_4_2 = format_pda(mn_pda(4, 2))
 PARTITION_2_2 = format_pda(partition_pda(2, 2))
 BASE_MODULES = {"pda_workbench.core"}
 
+# One run of each subcommand as (argv, stdin, the engine modules it loads),
+# with the ids below.
+SUBCOMMAND_RUNS = [
+    (["--help"], "", set()),
+    (["construct", "mn", "--k", "4", "--t", "2"], "", {"constructions"}),
+    (["verify"], MN_4_2, set()),
+    (["simulate", "--files", "4", "--sample", "5"], MN_4_2, {"simulate"}),
+    (["bound"], MN_4_2, {"bounds"}),
+    (
+        ["bound", "--method", "ordered:partition", "--q", "2", "--m", "2"],
+        PARTITION_2_2,
+        {"bounds", "constructions"},
+    ),
+    (["search", "--k", "3", "--f", "2", "--z", "1"], "", {"bounds"}),
+    (["fill"], MN_4_2, {"bounds", "filler"}),
+    (["table", "--q-list", "2", "--m-max", "2"], "", {"bounds", "formulas", "constructions"}),
+]
+SUBCOMMAND_IDS = [
+    "help", "construct", "verify", "simulate", "bound", "bound-ordered", "search", "fill", "table",
+]
 
-@pytest.mark.parametrize(
-    "argv, stdin, engines",
-    [
-        (["--help"], "", set()),
-        (["construct", "mn", "--k", "4", "--t", "2"], "", {"constructions"}),
-        (["verify"], MN_4_2, set()),
-        (["simulate", "--files", "4", "--sample", "5"], MN_4_2, {"simulate"}),
-        (["bound"], MN_4_2, {"bounds"}),
-        (
-            ["bound", "--method", "ordered:partition", "--q", "2", "--m", "2"],
-            PARTITION_2_2,
-            {"bounds", "constructions"},
-        ),
-        (["search", "--k", "3", "--f", "2", "--z", "1"], "", {"bounds"}),
-        (["fill"], MN_4_2, {"bounds", "filler"}),
-        (["table", "--q-list", "2", "--m-max", "2"], "", {"bounds", "formulas", "constructions"}),
-    ],
-    ids=[
-        "help", "construct", "verify", "simulate", "bound", "bound-ordered", "search", "fill",
-        "table",
-    ],
-)
+
+@pytest.mark.parametrize("argv, stdin, engines", SUBCOMMAND_RUNS, ids=SUBCOMMAND_IDS)
 def test_each_subcommand_imports_only_the_engines_it_runs(argv, stdin, engines):
     # Every CLI process compiles what it imports, so a subcommand must not
     # pay for an engine or the family builders that it never calls.  The
@@ -1154,6 +1154,28 @@ def test_each_subcommand_imports_only_the_engines_it_runs(argv, stdin, engines):
     }
     package = {name for name in loaded if name.startswith("pda_workbench.")}
     assert package == BASE_MODULES | {"pda_workbench." + e for e in engines}
+
+
+@pytest.mark.parametrize("argv, stdin, _engines", SUBCOMMAND_RUNS, ids=SUBCOMMAND_IDS)
+def test_no_subcommand_loads_typing_without_site(argv, stdin, _engines):
+    # Annotations are never evaluated and the records are namedtuple
+    # subclasses, so typing is imported only for type checkers.  -S keeps a
+    # site hook from loading typing before the package does, and with it
+    # the installed package, so PYTHONPATH names the package's parent.
+    package = os.path.dirname(main.__code__.co_filename)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(package))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-X", "importtime", "-m", "pda_workbench.cli", *argv],
+        input=stdin, capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    loaded = {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    assert "pda_workbench.core" in loaded  # the log lists the package's own imports
+    assert "typing" not in loaded
 
 
 @pytest.mark.parametrize(
@@ -1330,7 +1352,7 @@ def test_a_wrapper_on_the_cli_sees_each_engine_call_once(warm):
 # change; an import inside the one command that needs it stays free.
 MODULE_LEVEL_IMPORTS = {
     "__future__", "argparse", "collections", "fractions", "functools", "io",
-    "itertools", "math", "os", "random", "sys", "time", "types", "typing",
+    "itertools", "math", "os", "random", "sys", "time",
     "pda_workbench.bounds", "pda_workbench.constructions", "pda_workbench.core",
 }
 
@@ -1341,6 +1363,10 @@ def module_level_imports(tree):
     while stack:
         node = stack.pop()
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.If) and isinstance(node.test, ast.Name) \
+                and node.test.id == "TYPE_CHECKING":
+            stack.extend(node.orelse)  # the body runs only under a type checker
             continue
         if isinstance(node, ast.Import):
             found.update(alias.name for alias in node.names)
@@ -1380,9 +1406,11 @@ def test_the_import_walk_skips_function_bodies():
         "if True:\n    import json\n"
         "class C:\n    import csv\n"
         "def f():\n    import dataclasses\n    from inspect import signature\n"
+        "TYPE_CHECKING = False\nif TYPE_CHECKING:\n    from typing import List\n"
+        "else:\n    import decimal\n"
     )
     assert module_level_imports(tree) == {
-        "os", "pda_workbench.core", "pda_workbench.bounds", "json", "csv"
+        "os", "pda_workbench.core", "pda_workbench.bounds", "json", "csv", "decimal"
     }
 
 
