@@ -9,7 +9,8 @@ Import each name from the module that defines it:
                  the families' prescribed orderings
 * formulas:      the closed forms `table` reports
 * simulate:      FileLibrary, place/deliver/decode, demand sweeps
-* filler:        conflict-graph coloring (fill_greedy, fill_exact)
+* filler:        conflict-graph coloring (fill_exact); its budget also caps
+                 the ordering bound at min(budget, 1e6) intersections
 * cli:           the pda-workbench command
 """
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from itertools import combinations, islice
+from math import comb
 
 # canonical_pattern is not called here; bench/layers.py patches it by this name.
 from .core import DEFAULT_NODE_BUDGET, StarPattern, canonical_pattern  # noqa: F401
@@ -349,7 +350,29 @@ def theorem3_search(
     nodes_explored counts exact-bound evaluations, partial placements
     included, and `budget` caps it.  dedup_hits counts the partial
     placements cut by the monotone bound.  The search stops as soon as a
-    placement reaches the unbeatable floor f-z.
+    placement reaches the floor max(f-z, ceil(k(f-z)/(z+1))).  f-z is the
+    first user's own term.  The second holds in four steps:
+
+    1. In an ordering, moving a user right after the first user with the
+       same uncached set never lowers the value: its term becomes the
+       running intersection there, and the users in between see the same
+       intersection.  So for multiplicities c_T of the distinct uncached
+       sets T, S*(c) = max over chains of distinct sets T1, T2, ... of
+       sum_i c_Ti |T1 & ... & Ti|, a maximum of linear functions: convex
+       and homogeneous in c.
+    2. Row permutations act transitively on the (f-z)-subsets and keep
+       S*.  Averaging c over them gives the uniform vector, so by
+       convexity every placement of k users has S* >= k S*(u), where u
+       puts 1/C(f, z) on every subset.
+    3. Every (f-z)-subset once is the star pattern of bipartite(f, z, 1),
+       whose S* is C(f, z+1) (the bipartite family's bound, witnessed by
+       `bipartite_ordering`).  So k S*(u) = k C(f, z+1)/C(f, z) =
+       k(f-z)/(z+1).
+    4. When C(f, z) divides k, the round-robin placement, every subset
+       k/C(f, z) times, meets the floor by steps 1 and 3, and so does
+       grouping(f, z, 1, k/C(f, z)), a PDA of that shape.  The search
+       evaluates that placement first, in nondecreasing subset order as
+       the walk would, and returns it after one evaluation.
     """
     if k < 1:
         raise ValueError(f"need at least one user, got k={k}")
@@ -358,16 +381,23 @@ def theorem3_search(
     if budget is not None and budget < 1:
         raise ValueError(f"need a budget of at least one evaluation, got {budget}")
 
-    subset_masks = (
-        sum(1 << (j - 1) for j in rows) for rows in combinations(range(1, f + 1), f - z)
-    )
+    def subsets():
+        for rows in combinations(range(1, f + 1), f - z):
+            yield sum(1 << (j - 1) for j in rows)
+
+    subset_masks = subsets()
     omega: List[int] = [next(subset_masks)]  # the subsets reached so far, in order
-    floor = f - z
+    floor = max(f - z, -(-k * (f - z) // (z + 1)))
     best_value: Optional[int] = None
     best_pattern: Optional[StarPattern] = None
     nodes = 0
     pruned = 0
     complete = True
+    copies, left = divmod(k, comb(f, z))
+    if not left:  # the round-robin seed (step 4)
+        best_pattern = StarPattern(f, [m for m in subsets() for _ in range(copies)])
+        cert = theorem1_exact(best_pattern)
+        nodes, best_value, complete = 1, cert.value, cert.exact
 
     # The walk is a loop over the current placement: masks[u] is user u+1's
     # uncached set and ids[u] its index in omega.  User 1 stays at index 0,
@@ -376,7 +406,7 @@ def theorem3_search(
     # the recursion limit.
     masks: List[int] = [omega[0]]
     ids: List[int] = [0]
-    while True:
+    while best_value != floor:
         value: Optional[int] = None
         if len(masks) == k or best_value is not None:
             if budget is not None and nodes >= budget:
@@ -395,8 +425,6 @@ def theorem3_search(
             pruned += 1
         elif best_value is None or value < best_value:
             best_value, best_pattern = value, pattern
-            if value == floor:
-                break
         # Move to the next sibling, climbing out of every level used up.
         while len(ids) > 1:
             i = ids[-1] + 1

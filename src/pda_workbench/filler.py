@@ -11,23 +11,25 @@ strong edge coloring of bipartite graphs", IEEE Commun. Lett., 2018.)
 The graph keeps one neighbor bitmask per cell, so a vertex-set test is one
 big-int operation.
 
-`fill_greedy` colors first-fit in two vertex orders, row-major and most
-neighbors first, and keeps the better (fast, no optimality claim).
-`fill_exact` starts from that coloring and proves its answer with two
-lower bounds:
+`fill_exact` starts from a first-fit coloring, in two vertex orders
+(row-major and most neighbors first) of which it keeps the better, and
+proves its answer with two lower bounds:
 
 * The ordering bound S* on the same pattern is a clique bound: along any
   user ordering, the cells (j, i_h) with j in the running intersection I_h
   are pairwise in conflict (two of them share a row or a column, or the
   later one's row lies in I_h, so its cross cell in column i_h is
   uncached).  Each ordering's value, the truncated bound's fallback
-  included, is thus the size of a clique.
+  included, is thus the size of a clique.  The bound expands at most
+  min(budget, 1e6) intersections, so a budget of 0 runs no search at all:
+  the first-fit grid comes back at once, with the better of the identity
+  and greedy orderings' values as its lower bound.
 * The symbol-class bound: a symbol class, the cells one symbol may take,
   is an independent set of the graph, so if no class has more than alpha
   cells every fill of the n cells needs ceil(n / alpha) symbols.  It runs
-  only when greedy stops above S*: a branch and bound finds alpha, bounded
-  by the distinct rows and columns among its candidates, and stops as soon
-  as a class is too large for the bound to beat S*.  When alpha divides n,
+  only when first fit stops above S*: a branch and bound finds alpha,
+  bounded by the distinct rows and columns among its candidates, and stops
+  as soon as a class is too large for the bound to beat S*.  When alpha divides n,
   a fill with n / alpha symbols is an exact cover of the cells by
   alpha-classes, which Algorithm X (Knuth, "Dancing Links", 2000) finds or
   refutes.  On the partition family this certifies the construction's S,
@@ -50,7 +52,7 @@ TYPE_CHECKING = False
 if TYPE_CHECKING:
     from typing import Dict, List, Optional, Sequence, Tuple
 
-_BOUND_BUDGET = 1_000_000  # intersections for the ordering lower bound
+_BOUND_BUDGET = 1_000_000  # the most intersections the ordering lower bound expands
 
 
 class ConflictGraph(namedtuple("ConflictGraph", "vertices adj")):
@@ -136,14 +138,10 @@ def _greedy_coloring(graph: ConflictGraph) -> List[int]:
     return best
 
 
+# No caller in the package; bench/layers.py patches it by this name.
 def fill_greedy(pattern: StarPattern) -> PdaGrid:
-    """The better of two first-fit colorings; C2/C3 hold by construction.
-
-    (C1 additionally needs the input pattern to miss equally many rows per
-    user, as every pattern of an actual array does.)
-    """
-    graph = build_conflict_graph(pattern)
-    return _grid_from_coloring(pattern, graph, _greedy_coloring(graph))
+    """The first-fit grid: `fill_exact` at budget 0."""
+    return fill_exact(pattern, budget=0).grid
 
 
 class FillResult(
@@ -154,7 +152,9 @@ class FillResult(
     exhausted every smaller color count).  class_size names the bound that
     binds: None for the ordering bound, else alpha, the most cells a
     symbol class can hold, for the symbol-class bound ceil(n / alpha) (one
-    more when alpha divides n and no exact cover by alpha-classes exists)."""
+    more when alpha divides n and no exact cover by alpha-classes exists).
+    The ordering bound is the exact S* only when its search, capped at
+    min(budget, 1e6) intersections, finishes."""
 
     __slots__ = ()
 
@@ -345,22 +345,23 @@ def _exact_cover(
 def fill_exact(pattern: StarPattern, budget: int = DEFAULT_COLOR_BUDGET) -> FillResult:
     """Minimum-symbol fill with an optimality verdict.
 
-    The conflict graph is built once; the `fill_greedy` coloring on it is
-    the starting upper bound, and the ordering bound the starting lower
-    bound.  While they differ, the symbol-class stage bounds the largest
-    class alpha, raises the lower bound to ceil(n / alpha), and, when alpha
-    divides n, looks for an exact cover by alpha-classes, which is a fill
-    at the bound (its absence raises the bound by one).  Color counts are
-    then tried upward from the lower bound; the first feasible count is the
-    chromatic number.  All stages share `budget` search nodes; when it runs
-    out the greedy grid comes back with optimal=False.  A negative budget
-    raises ValueError.
+    The conflict graph is built once; the first-fit coloring on it is the
+    starting upper bound, and the ordering bound, which expands at most
+    min(budget, 1e6) intersections, the starting lower bound.  While they
+    differ, the symbol-class stage bounds the largest class alpha, raises
+    the lower bound to ceil(n / alpha), and, when alpha divides n, looks
+    for an exact cover by alpha-classes, which is a fill at the bound (its
+    absence raises the bound by one).  Color counts are then tried upward
+    from the lower bound; the first feasible count is the chromatic
+    number.  These stages share `budget` search nodes; when it runs out the
+    first-fit grid comes back with optimal=False.  A negative budget raises
+    ValueError.
     """
     if budget < 0:
         raise ValueError(f"need a budget of at least 0 search nodes, got {budget}")
     graph = build_conflict_graph(pattern)
     # A clique size, so it bounds every coloring (see the module docstring).
-    lb = theorem1_exact(pattern, budget=_BOUND_BUDGET).value
+    lb = theorem1_exact(pattern, budget=min(budget, _BOUND_BUDGET)).value
     greedy = _greedy_coloring(graph)
     top = max(greedy, default=0)
     remaining, class_size = budget, None  # remaining < 0: the budget ran out
@@ -390,6 +391,8 @@ def fill_exact(pattern: StarPattern, budget: int = DEFAULT_COLOR_BUDGET) -> Fill
         if coloring is not None:
             grid = _grid_from_coloring(pattern, graph, coloring)
             return FillResult(grid, k, optimal=True, lower_bound=lb, class_size=class_size)
-    # Unless the budget ran out, every count below the greedy one was refuted.
+    # Unless the budget ran out, every count below the first-fit one was
+    # refuted; a bound that meets it proves it optimal all the same.
     grid = _grid_from_coloring(pattern, graph, greedy)
-    return FillResult(grid, top, optimal=remaining >= 0, lower_bound=lb, class_size=class_size)
+    optimal = remaining >= 0 or lb == top
+    return FillResult(grid, top, optimal=optimal, lower_bound=lb, class_size=class_size)

@@ -20,7 +20,7 @@ from pda_workbench.bounds import (
     theorem1_greedy,
     theorem3_search,
 )
-from pda_workbench.constructions import bipartite_pda, partition_pda
+from pda_workbench.constructions import bipartite_pda, grouping_pda, partition_pda
 from pda_workbench.core import StarPattern, pda_params, to_star_pattern
 
 
@@ -377,6 +377,7 @@ SEARCH_WALKS = {
     (5, 8, 4, 30): (18, 30, 0, False),
     (5, 6, 2, None): (10, 985, 446, True),
     (4, 8, 4, 5000): (6, 862, 500, True),
+    (5, 4, 2, None): (4, 39, 12, True),  # stops at the shape floor 4
 }
 
 
@@ -386,6 +387,45 @@ def test_search_walk_counts_are_pinned(shape):
     assert (rep.best_value, rep.nodes_explored, rep.dedup_hits, rep.exhaustive) == (
         SEARCH_WALKS[shape]
     )
+
+
+def shape_floor(k, f, z):
+    return -(-k * (f - z) // (z + 1))
+
+
+@pytest.mark.parametrize("k,f,z", [(5, 4, 2), (5, 5, 2)], ids=["floor-binds", "floor-below"])
+def test_the_shape_floor_agrees_with_brute_force(k, f, z):
+    # At both shapes ceil(k(f-z)/(z+1)) is above f-z.  It is the min-max
+    # S* at (5,4,2), and one below it at (5,5,2), where the search must
+    # walk past it to the brute-force minimum 6.
+    best, _ = brute_force_min_max(k, f, z)
+    rep = theorem3_search(k, f, z)
+    assert rep.exhaustive and rep.best_value == best
+    assert (best, shape_floor(k, f, z)) == {(5, 4, 2): (4, 4), (5, 5, 2): (6, 5)}[k, f, z]
+
+
+def test_the_round_robin_seed_is_a_placement_of_the_walk():
+    # Every 2-subset of 4 rows once, in nondecreasing subset order.
+    rep = theorem3_search(6, 4, 2)
+    assert (rep.best_value, rep.nodes_explored, rep.exhaustive) == (4, 1, True)
+    assert [sorted(rows) for rows in rep.best_pattern.uncached_sets()] == [
+        list(rows) for rows in itertools.combinations(range(1, 5), 2)
+    ]
+
+
+@pytest.mark.parametrize(
+    "f,z,h", [(2, 1, 3), (4, 2, 2), (5, 1, 2), (5, 2, 1), (6, 3, 1), (4, 3, 2)]
+)
+def test_grouping_meets_the_shape_floor(f, z, h):
+    # At K = h C(f, z), grouping(f, z, 1, h) is a PDA whose S is the floor,
+    # so the floor is the min-max S* and the least symbol count there.
+    grid = grouping_pda(f, z, 1, h)
+    params = pda_params(grid)
+    k = h * comb(f, z)
+    assert (params.k, params.f, params.z) == (k, f, z)
+    assert params.s == theorem1_exact(to_star_pattern(grid)).value == shape_floor(k, f, z)
+    rep = theorem3_search(k, f, z)
+    assert (rep.best_value, rep.nodes_explored, rep.exhaustive) == (params.s, 1, True)
 
 
 def test_search_descends_past_the_recursion_limit():

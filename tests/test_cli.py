@@ -213,11 +213,12 @@ def test_a_placement_without_a_known_header_names_its_first_token(run, command, 
 
 
 def test_bound_greedy_is_marked_unproven(run):
+    # Budget 0 reports the better of the identity and greedy orderings.
     code, out, _ = run(
-        ["bound", "--method", "greedy"], stdin=grid_text("GRID_K6_F4_Z1")
+        ["bound", "--budget", "0"], stdin=grid_text("GRID_K6_F4_Z1")
     )
-    assert code == EXIT_OK
-    assert "method: greedy (not proven maximal)" in out
+    assert code == EXIT_BUDGET
+    assert "method: branch_bound (not proven maximal)" in out
 
 
 def test_bound_ordered_partition_reports_the_derived_value(run):
@@ -373,11 +374,18 @@ def test_a_family_at_the_column_cap_is_built(run):
     assert parse_pda(out).k == 4096
 
 
-def test_bound_unknown_method_is_usage(run):
-    code, _, err = run(
-        ["bound", "--method", "psychic"], stdin=grid_text("GRID_K6_F4_Z2")
-    )
-    assert code == EXIT_USAGE
+def test_bound_unknown_method_is_usage():
+    with pytest.raises(SystemExit) as exc:
+        main(["bound", "--method", "psychic"])
+    assert exc.value.code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("command", ["bound", "fill"])
+def test_the_retired_greedy_methods_are_usage(command):
+    # bound --budget 0 and fill --budget 0 give what --method greedy gave.
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--method", "greedy"])
+    assert exc.value.code == EXIT_USAGE
 
 
 def test_bound_on_a_grid_failing_c1_exits_one(run):
@@ -443,6 +451,21 @@ def test_search_json_report(run):
     assert payload["best_value"] == 1
     assert payload["exhaustive"] is True
     assert payload["witness_uncached_sets"] == [[1], [2]]
+
+
+@pytest.mark.parametrize("k,f,z,value", [(1500, 2, 1, 750), (60, 4, 2, 40)])
+def test_search_settles_a_shape_that_c_f_z_divides_in_one_evaluation(run, k, f, z, value):
+    # The round-robin placement meets the floor ceil(k(f-z)/(z+1)).
+    code, out, _ = run(
+        ["search", "--k", str(k), "--f", str(f), "--z", str(z), "--format", "json"]
+    )
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert (payload["best_value"], payload["nodes_explored"], payload["exhaustive"]) == (
+        value,
+        1,
+        True,
+    )
 
 
 def test_search_budget_truncation_exits_three(run):
@@ -718,11 +741,11 @@ def test_fill_exact_from_a_placement_certifies(run, tmp_path):
 
 def test_fill_accepts_a_grid_and_keeps_its_stars(run):
     code, out, err = run(
-        ["fill", "--method", "greedy"],
+        ["fill", "--budget", "0"],
         stdin=grid_text("GRID_K6_F8_Z5"),
     )
     assert code == EXIT_OK
-    assert err.startswith("greedy fill: S = ")
+    assert err.startswith("exact fill: S = ")
     grid = parse_pda(out)
     assert to_star_pattern(grid) == to_star_pattern(golden_grid("GRID_K6_F8_Z5"))
     assert verify_pda(grid).valid
@@ -730,11 +753,12 @@ def test_fill_accepts_a_grid_and_keeps_its_stars(run):
 
 def test_fill_greedy_reports_the_better_order(run):
     # First fit needs 4 symbols in row-major order, 3 most-neighbors-first.
+    # At budget 0 the fill is that first fit, and the ordering bound proves it.
     code, out, err = run(
-        ["fill", "--method", "greedy"], stdin=format_placement(StarPattern(4, (9, 6, 10)))
+        ["fill", "--budget", "0"], stdin=format_placement(StarPattern(4, (9, 6, 10)))
     )
     assert code == EXIT_OK
-    assert err == "greedy fill: S = 3\n"
+    assert err == "exact fill: S = 3 (lower bound 3) — optimality certified\n"
     assert parse_pda(out).max_symbol() == 3
 
 
@@ -763,11 +787,11 @@ def test_fill_names_the_symbol_class_bound_when_it_binds(run):
     assert to_star_pattern(grid) == to_star_pattern(partition_pda(4, 2))
 
 
-@pytest.mark.parametrize("method", ["exact", "greedy"])
-def test_fill_rejects_a_placement_with_unequal_star_counts(run, method):
+@pytest.mark.parametrize("budget", [[], ["--budget", "0"]], ids=["exact", "budget-0"])
+def test_fill_rejects_a_placement_with_unequal_star_counts(run, budget):
     # user 1 leaves two rows uncached, user 2 three: no fill meets C1
     pattern = StarPattern(4, (0b0011, 0b0111))
-    code, out, err = run(["fill", "--method", method], stdin=format_placement(pattern))
+    code, out, err = run(["fill", *budget], stdin=format_placement(pattern))
     assert code == EXIT_INVALID
     assert out == ""
     assert err.startswith("error: users leave unequal numbers") and err.count("\n") == 1
@@ -995,7 +1019,7 @@ FUZZ_COMMANDS = {
         [],
         {
             "--method": st.sampled_from(
-                ["exact", "greedy", "ordered:partition", "ordered:bipartite", "psychic"]
+                ["exact", "ordered:partition", "ordered:bipartite", "psychic"]
             ),
             "--budget": INTS,
             "--q": INTS, "--m": INTS, "--a": INTS, "--b": INTS,
@@ -1023,7 +1047,6 @@ FUZZ_COMMANDS = {
     "fill": (
         [],
         {
-            "--method": st.sampled_from(["exact", "greedy"]),
             "--budget": INTS,
             "-o": UNWRITABLE,
         },
@@ -1232,7 +1255,7 @@ USAGE_ERRORS = {
     "bound": ["bound", "--budget", "x"],
     "search": ["search", "--k", "3"],
     "simulate": ["simulate"],
-    "fill": ["fill", "--method", "bad"],
+    "fill": ["fill", "--budget", "x"],
     "table": ["table", "--m-max", "q"],
 }
 
@@ -1275,7 +1298,7 @@ ENGINE_MODULES = {
     "partition_pda": "constructions", "bipartite_pda": "constructions",
     "mn_pda": "constructions", "grouping_pda": "constructions",
     "theorem1_exact": "bounds", "theorem3_search": "bounds",
-    "fill_exact": "filler", "fill_greedy": "filler", "ratio_report": "formulas",
+    "fill_exact": "filler", "ratio_report": "formulas",
     "place": "simulate", "deliver": "simulate", "decode": "simulate",
     "run_sweep": "simulate",
 }
@@ -1288,7 +1311,6 @@ EVERY_ENGINE_RUN = [
     (["bound"], MN_4_2),
     (["search", "--k", "3", "--f", "2", "--z", "1"], ""),
     (["fill"], MN_4_2),
-    (["fill", "--method", "greedy"], MN_4_2),
     (["table", "--q-list", "2", "--m-max", "2"], ""),
     (["simulate", "--files", "4", "--demand", "1,2,3,4"], MN_4_2),
     (["simulate", "--files", "4", "--sample", "3"], MN_4_2),

@@ -12,8 +12,8 @@ import pytest
 
 from conftest import GOLDEN_PARAMS, golden_grid
 from pda_workbench import filler
-from pda_workbench.bounds import theorem1_exact
-from pda_workbench.constructions import partition_pda
+from pda_workbench.bounds import theorem1_exact, theorem1_greedy
+from pda_workbench.constructions import mn_pda, partition_pda
 from pda_workbench.core import (
     STAR,
     PdaGrid,
@@ -575,9 +575,9 @@ def test_a_refuted_cover_raises_the_bound_by_one():
 def test_a_cut_short_class_stage_keeps_what_it_proved():
     pattern = to_star_pattern(partition_pda(4, 2))
     graph = build_conflict_graph(pattern)
-    # Nothing proved: the ordering bound stands.
+    # Nothing searched: the fallback ordering's bound (S* is 45) stands.
     zero = fill_exact(pattern, budget=0)
-    assert (zero.colors, zero.optimal, zero.lower_bound, zero.class_size) == (81, False, 45, None)
+    assert (zero.colors, zero.optimal, zero.lower_bound, zero.class_size) == (81, False, 44, None)
     # No class of 4 cells, then the budget ends while listing the 3-classes.
     _, refute = filler._classes_of_size(graph, 4, 1, 10**6)
     cut = fill_exact(pattern, budget=refute + 10)
@@ -766,3 +766,53 @@ def test_fills_match_the_set_based_reference(pattern, certified):
         optimal,
         lb,
     )
+
+
+# ------------------------------------------------------------- budget 0
+
+
+def test_budget_zero_runs_no_search_and_returns_the_first_fit_grid():
+    # fill_greedy is fill_exact at budget 0, so the reference's first fit
+    # (the grid fill_greedy built on its own before) is the oracle here.
+    extra = [to_star_pattern(partition_pda(3, 2)), to_star_pattern(mn_pda(6, 2))]
+    for pattern in [*class_patterns(), *differential_patterns(), *extra]:
+        first_fit_cells, _ = ref_fill(pattern, 0)
+        assert fill_exact(pattern, budget=0).grid.cells == first_fit_cells, pattern
+        assert theorem1_exact(pattern, budget=0).value >= theorem1_greedy(pattern).value
+
+
+def test_a_bound_that_meets_first_fit_proves_it_even_when_the_budget_ran_out():
+    # At budget 0 the fallback orderings give 1 (S* is 2), and the class
+    # stage is cut short at once.  Its root bound, one cell per row and per
+    # column, still caps a class at 3 of the 4 cells: 2 symbols, first fit's.
+    zero = fill_exact(StarPattern(4, (2, 1, 4, 1)), budget=0)
+    assert (zero.colors, zero.optimal, zero.lower_bound, zero.class_size) == (2, True, 2, 3)
+
+
+def intersection_count(pattern):
+    """The distinct nonempty intersections of user subsets, the full row
+    set included: what the exact ordering bound expands."""
+    full = (1 << pattern.f) - 1
+    lattice = frontier = {full}
+    while frontier:
+        frontier = {inter & m for inter in frontier for m in pattern.masks} - lattice - {0}
+        lattice = lattice | frontier
+    return len(lattice)
+
+
+def test_the_fill_bound_is_exact_once_the_budget_covers_the_intersections(monkeypatch):
+    certs = []
+
+    def recording(pattern, budget):
+        certs.append(theorem1_exact(pattern, budget=budget))
+        return certs[-1]
+
+    monkeypatch.setattr(filler, "theorem1_exact", recording)
+    for pattern in class_patterns():
+        count = intersection_count(pattern)
+        result = fill_exact(pattern, budget=count)
+        assert certs[-1].exact
+        assert certs[-1].value == theorem1_exact(pattern).value
+        assert result.lower_bound >= certs[-1].value
+        fill_exact(pattern, budget=count - 1)
+        assert not certs[-1].exact
