@@ -43,8 +43,9 @@ class BoundCertificate(
     method is one of "exact" (proven maximum), "branch_bound" (the exact
     search was truncated by its intersection budget; the value is the
     better of the identity and greedy orderings), "greedy", or
-    "prescribed" (caller-supplied ordering).  Only "exact" certificates
-    carry exact=True.
+    "prescribed" (caller-supplied ordering).  "exact" certificates carry
+    exact=True.  So does any certificate that `bound` finds meeting the S
+    of a valid PDA with its stars: S* <= S, so the value is S*.
     """
 
     __slots__ = ()
@@ -85,16 +86,21 @@ class BoundCertificate(
 
 
 class SearchReport(
-    namedtuple("SearchReport", "k f z best_value best_pattern nodes_explored dedup_hits exhaustive")
+    namedtuple(
+        "SearchReport",
+        "k f z best_value best_pattern nodes_explored dedup_hits exhaustive floor bounds_exact",
+    )
 ):
     """Outcome of the min-max placement search.
 
     best_value is the least exact bound found and best_pattern a placement
     attaining it.  nodes_explored counts exact-bound evaluations, partial
     placements included; dedup_hits counts the partial placements cut
-    because their bound already reached the incumbent.  exhaustive is True
-    when the search finished within its budget with every bound exact, so
-    best_value is the true min-max; otherwise it may overshoot.
+    because their bound already reached the incumbent.  bounds_exact is
+    True when every bound evaluated was exact.  exhaustive is True when,
+    besides, the search finished within its budget, so best_value is the
+    true min-max; otherwise it may overshoot.  floor is the shape's proved
+    lower bound on the min-max, max(f-z, ceil(k(f-z)/(z+1))).
     """
 
     __slots__ = ()
@@ -119,6 +125,7 @@ class SearchReport(
             "nodes_explored": self.nodes_explored,
             "dedup_hits": self.dedup_hits,
             "exhaustive": self.exhaustive,
+            "lower_bound": self.best_value if self.exhaustive else self.floor,
         }
 
 
@@ -350,8 +357,9 @@ def theorem3_search(
     nodes_explored counts exact-bound evaluations, partial placements
     included, and `budget` caps it.  dedup_hits counts the partial
     placements cut by the monotone bound.  The search stops as soon as a
-    placement reaches the floor max(f-z, ceil(k(f-z)/(z+1))).  f-z is the
-    first user's own term.  The second holds in four steps:
+    placement reaches the floor max(f-z, ceil(k(f-z)/(z+1))), which the
+    report carries.  f-z is the first user's own term.  The second holds
+    in four steps:
 
     1. In an ordering, moving a user right after the first user with the
        same uncached set never lowers the value: its term becomes the
@@ -392,12 +400,13 @@ def theorem3_search(
     best_pattern: Optional[StarPattern] = None
     nodes = 0
     pruned = 0
-    complete = True
+    complete = True  # the walk ended within the budget
+    bounds_exact = True
     copies, left = divmod(k, comb(f, z))
     if not left:  # the round-robin seed (step 4)
         best_pattern = StarPattern(f, [m for m in subsets() for _ in range(copies)])
         cert = theorem1_exact(best_pattern)
-        nodes, best_value, complete = 1, cert.value, cert.exact
+        nodes, best_value, bounds_exact = 1, cert.value, cert.exact
 
     # The walk is a loop over the current placement: masks[u] is user u+1's
     # uncached set and ids[u] its index in omega.  User 1 stays at index 0,
@@ -415,7 +424,7 @@ def theorem3_search(
             nodes += 1
             pattern = StarPattern(f, masks)
             cert = theorem1_exact(pattern)
-            complete = complete and cert.exact
+            bounds_exact = bounds_exact and cert.exact
             value = cert.value
         if len(masks) < k:
             if best_value is None or value < best_value:
@@ -447,5 +456,7 @@ def theorem3_search(
         best_pattern=best_pattern,
         nodes_explored=nodes,
         dedup_hits=pruned,
-        exhaustive=complete,
+        exhaustive=complete and bounds_exact,
+        floor=floor,
+        bounds_exact=bounds_exact,
     )

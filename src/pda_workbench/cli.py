@@ -27,6 +27,7 @@ from .core import (
     DEFAULT_COLOR_BUDGET,
     DEFAULT_NODE_BUDGET,
     DEFAULT_PACKET_LEN,
+    MAX_ROWS,
     MalformedGridError,
     PdaGrid,
     PdaParams,
@@ -44,6 +45,8 @@ TYPE_CHECKING = False
 if TYPE_CHECKING:
     from fractions import Fraction
     from typing import Callable, Optional, Sequence, Tuple
+
+    from .bounds import SearchReport
 
 
 def _engine(module: str, name: str) -> Callable:
@@ -221,15 +224,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def _ordered_certificate(args: argparse.Namespace, pattern: StarPattern):
     """The `BoundCertificate` of the family ordering that --method names."""
     from .bounds import bipartite_ordering, eval_ordering, partition_ordering
-    from .constructions import BipartiteSpec, PartitionSpec
+    from .constructions import bipartite_params, partition_params
 
     family = args.method.split(":", 1)[1]
     if family == "partition":
-        spec, ordering = PartitionSpec, partition_ordering
+        shape_of, ordering = partition_params, partition_ordering
     else:
-        spec, ordering = BipartiteSpec, bipartite_ordering
+        shape_of, ordering = bipartite_params, bipartite_ordering
     values, label = _family_args(args, family, f"bound --method {args.method}")
-    shape = spec(*values).expected_params()
+    shape = shape_of(*values)
     if pattern.k != shape.k or pattern.f != shape.f:
         raise _UsageError(
             f"pattern is {pattern.f}x{pattern.k}, but {label} needs {shape.f}x{shape.k}"
@@ -251,7 +254,11 @@ def cmd_bound(args: argparse.Namespace) -> int:
     else:
         cert = _ordered_certificate(args, pattern)
 
-    certified = cert.value == grid_symbols
+    # S* <= S for every PDA with these stars, so a bound that meets a valid
+    # grid's S is S*, whichever method found it.
+    certified = cert.value == grid_symbols and verify_pda(grid).valid
+    if certified:
+        cert = cert._replace(exact=True)
 
     if args.format == "json":
         fields = cert.as_dict()
@@ -275,6 +282,21 @@ def cmd_bound(args: argparse.Namespace) -> int:
 # search
 # ---------------------------------------------------------------------------
 
+def _floor_line(report: SearchReport) -> str:
+    """The shape floor, and what it proves of the search's answer."""
+    from math import comb
+
+    k, f, z, floor = report.k, report.f, report.z, report.floor
+    line = f"floor: {floor}"
+    if not report.exhaustive and report.bounds_exact:
+        line += f", so the min-max lies in [{floor}, {report.best_value}]"
+    elif report.exhaustive and report.best_value == floor and 0 < z < f and k <= MAX_ROWS:
+        h, left = divmod(k, comb(f, z))
+        if not left:  # step 4 of the floor's proof: an array with S = floor
+            line += f", met by construct grouping --m {f} --a {z} --b 1 --h {h}"
+    return line
+
+
 def cmd_search(args: argparse.Namespace) -> int:
     if args.z > args.f:
         raise _UsageError(f"need Z <= F, got Z={args.z}, F={args.f}")
@@ -290,6 +312,7 @@ def cmd_search(args: argparse.Namespace) -> int:
             f"evaluated {report.nodes_explored} placements"
             f" ({report.dedup_hits} pruned), {state}"
         )
+        print(_floor_line(report))
         for k, rows in enumerate(report.best_pattern.uncached_sets(), start=1):
             print(f"  user {k} uncached rows: " + " ".join(map(str, rows)))
     return EXIT_OK if report.exhaustive else EXIT_BUDGET
@@ -491,7 +514,7 @@ def _bound_args(p: argparse.ArgumentParser) -> None:
         default=DEFAULT_NODE_BUDGET,
         help="cap on the intersections the exact search expands; past it the"
         " better of the identity and greedy orderings is reported with method"
-        " branch_bound and exit code 3",
+        " branch_bound, and with exit code 3 unless it meets a valid grid's S",
     )
     for flag in dict.fromkeys(_FAMILIES["partition"][1] + _FAMILIES["bipartite"][1]):
         p.add_argument("--" + flag, type=int)

@@ -1,21 +1,22 @@
-"""Generators for the three PDA families the workbench knows how to build.
+"""Generators for the four PDA families the workbench knows how to build,
+and their shape functions: a family's parameters (K, F, Z, S), or a refusal
+of a shape past the row or column cap.  Each builder calls one first.
 
 * partition_pda(q, m): rows are the q^m checksum-extended vectors over [q],
   columns are the (m+1)q coordinate/value pairs (u, v); a cell is starred
-  when the row agrees with the column's pin.  Params
-  ((m+1)q, q^m, q^(m-1), (q-1)q^m).
+  when the row agrees with the column's pin.
+  partition_params(q, m) = ((m+1)q, q^m, q^(m-1), (q-1)q^m).
 * bipartite_pda(m, a, b): rows are b-subsets and columns a-subsets of [m];
   a cell is starred when they meet, otherwise it carries their union.
-  Params (C(m,a), C(m,b), C(m,b)-C(m-a,b), C(m,a+b)).
+  bipartite_params(m, a, b) = (C(m,a), C(m,b), C(m,b)-C(m-a,b), C(m,a+b)).
 * mn_pda(k, t): the classic one-coordinate special case, bipartite with
   m=k, a=1, b=t.
 * grouping_pda(m, a, b, h): h bipartite copies side by side with disjoint
-  symbol ranges.  Params (h*C(m,a), C(m,b), Z, h*C(m,a+b)).
+  symbol ranges; bipartite_params(m, a, b, h) multiplies K and S by h.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
 from itertools import combinations
 from math import comb
 
@@ -35,9 +36,9 @@ def _check_partition(q: int, m: int) -> None:
         raise ValueError(f"need q >= 2 and m >= 1, got q={q}, m={m}")
 
 
-def _check_partition_shape(q: int, m: int) -> None:
-    """Refuse q^m rows or (m+1)q columns past the caps; as q^m >= 2^m, a
-    long m is refused before the power is taken."""
+def partition_params(q: int, m: int) -> PdaParams:
+    """partition_pda(q, m)'s parameters.  As q^m >= 2^m, a long m is
+    refused before the power is taken."""
     _check_partition(q, m)
     if m >= MAX_ROWS.bit_length() or q ** m > MAX_ROWS:
         raise ValueError(f"q^m rows at q={q}, m={m} exceed the row cap {MAX_ROWS}")
@@ -45,6 +46,7 @@ def _check_partition_shape(q: int, m: int) -> None:
         raise ValueError(
             f"(m+1)q columns at q={q}, m={m} exceed the column cap {_MAX_COLUMNS}"
         )
+    return PdaParams(k=(m + 1) * q, f=q ** m, z=q ** (m - 1), s=(q - 1) * q ** m)
 
 
 def _check_bipartite(m: int, a: int, b: int) -> None:
@@ -52,16 +54,20 @@ def _check_bipartite(m: int, a: int, b: int) -> None:
         raise ValueError(f"need a, b >= 1 and a+b <= m, got m={m}, a={a}, b={b}")
 
 
-def _check_bipartite_shape(m: int, a: int, b: int, h: int = 1) -> None:
-    """Refuse C(m, b) rows or h*C(m, a) columns past the caps, before any
-    cell is built; as C(m, b) >= m, a large m is refused before the
-    binomials are taken."""
+def bipartite_params(m: int, a: int, b: int, h: int = 1) -> PdaParams:
+    """grouping_pda(m, a, b, h)'s parameters, bipartite_pda(m, a, b)'s at
+    h = 1.  As C(m, b) >= m, a large m is refused before the binomials are
+    taken."""
+    if h < 1:
+        raise ValueError(f"need h >= 1, got {h}")
     _check_bipartite(m, a, b)
     if m > MAX_ROWS or comb(m, b) > MAX_ROWS:
         raise ValueError(f"C({m},{b}) rows exceed the row cap {MAX_ROWS}")
     if h * comb(m, a) > _MAX_COLUMNS:
         columns = f"C({m},{a})" if h == 1 else f"{h}*C({m},{a})"
         raise ValueError(f"{columns} columns exceed the column cap {_MAX_COLUMNS}")
+    f = comb(m, b)
+    return PdaParams(k=h * comb(m, a), f=f, z=f - comb(m - a, b), s=h * comb(m, a + b))
 
 
 def residue_q(x: int, q: int) -> int:
@@ -109,7 +115,7 @@ def partition_pda(q: int, m: int) -> PdaGrid:
     exactly once per coordinate group -- m+1 occurrences in total.  Symbols
     are relabelled to dense ids by first appearance in row-major order.
     """
-    _check_partition_shape(q, m)
+    partition_params(q, m)
     rows = partition_rows(q, m)
     cols = partition_columns(q, m)
     ids: Dict[Tuple[int, ...], int] = {}
@@ -124,15 +130,6 @@ def partition_pda(q: int, m: int) -> PdaGrid:
                 row.append(ids.setdefault(g, len(ids) + 1))
         cells.append(tuple(row))
     return PdaGrid(tuple(cells))
-
-
-class PartitionSpec(namedtuple("PartitionSpec", "q m")):
-    __slots__ = ()
-
-    def expected_params(self) -> PdaParams:
-        q, m = self.q, self.m
-        _check_partition_shape(q, m)
-        return PdaParams(k=(m + 1) * q, f=q ** m, z=q ** (m - 1), s=(q - 1) * q ** m)
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +148,7 @@ def bipartite_pda(m: int, a: int, b: int) -> PdaGrid:
     overlapping pairs are starred.  a+b = m is allowed and degenerates to a
     single symbol.
     """
-    _check_bipartite_shape(m, a, b)
+    bipartite_params(m, a, b)
     union_rank = {d: i + 1 for i, d in enumerate(subsets(m, a + b))}
     cols = subsets(m, a)
     cells = []
@@ -180,9 +177,7 @@ def grouping_pda(m: int, a: int, b: int, h: int) -> PdaGrid:
     Copy i's symbols are shifted by (i-1)*C(m, a+b), so the concatenation
     keeps C2/C3 and multiplies both K and S by h.
     """
-    if h < 1:
-        raise ValueError(f"need h >= 1, got {h}")
-    _check_bipartite_shape(m, a, b, h)
+    bipartite_params(m, a, b, h)
     base = bipartite_pda(m, a, b)
     shift = comb(m, a + b)
     cells = []
@@ -193,16 +188,3 @@ def grouping_pda(m: int, a: int, b: int, h: int) -> PdaGrid:
         cells.append(tuple(out))
     return PdaGrid(tuple(cells))
 
-
-class BipartiteSpec(namedtuple("BipartiteSpec", "m a b h", defaults=(1,))):
-    __slots__ = ()
-
-    def expected_params(self) -> PdaParams:
-        m, a, b, h = self.m, self.a, self.b, self.h
-        _check_bipartite_shape(m, a, b, h)
-        return PdaParams(
-            k=h * comb(m, a),
-            f=comb(m, b),
-            z=comb(m, b) - comb(m - a, b),
-            s=h * comb(m, a + b),
-        )

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import golden_grid
 from test_formulas import union_sum
+from pda_workbench import bounds
 from pda_workbench.bounds import (
     BoundCertificate,
     bipartite_ordering,
@@ -383,10 +384,14 @@ SEARCH_WALKS = {
 
 @pytest.mark.parametrize("shape", sorted(SEARCH_WALKS, key=str))
 def test_search_walk_counts_are_pinned(shape):
-    rep = theorem3_search(*shape[:3], budget=shape[3])
+    k, f, z, budget = shape
+    rep = theorem3_search(k, f, z, budget=budget)
     assert (rep.best_value, rep.nodes_explored, rep.dedup_hits, rep.exhaustive) == (
         SEARCH_WALKS[shape]
     )
+    # A budget cuts the walk short; every bound it evaluated stays exact.
+    assert rep.bounds_exact
+    assert rep.floor == max(f - z, shape_floor(k, f, z)) <= rep.best_value
 
 
 def shape_floor(k, f, z):
@@ -465,10 +470,23 @@ def test_search_report_as_dict_shape():
     assert d["rate_bound"] == {"num": 1, "den": 2}
     assert d["witness_uncached_sets"] == [[1], [2]]
     assert d["exhaustive"] is True
+    assert d["lower_bound"] == 1
     assert set(d) == {
         "k", "f", "z", "best_value", "rate_bound", "witness_uncached_sets",
-        "nodes_explored", "dedup_hits", "exhaustive",
+        "nodes_explored", "dedup_hits", "exhaustive", "lower_bound",
     }
+
+
+def test_an_inexact_bound_leaves_the_search_only_its_floor(monkeypatch):
+    # A bound cut short by its own budget may undershoot S*, so best_value
+    # proves nothing: the report keeps the floor alone.
+    real = bounds.theorem1_exact
+    monkeypatch.setattr(
+        bounds, "theorem1_exact", lambda p, budget=None: real(p)._replace(exact=False)
+    )
+    rep = theorem3_search(4, 6, 3)
+    assert (rep.best_value, rep.exhaustive, rep.bounds_exact) == (4, False, False)
+    assert rep.as_dict()["lower_bound"] == rep.floor == 3
 
 
 def test_search_rejects_bad_arguments():

@@ -213,12 +213,49 @@ def test_a_placement_without_a_known_header_names_its_first_token(run, command, 
 
 
 def test_bound_greedy_is_marked_unproven(run):
-    # Budget 0 reports the better of the identity and greedy orderings.
+    # Budget 0 reports the better of the identity and greedy orderings:
+    # 17 here, below S = 18, so nothing proves it maximal.
     code, out, _ = run(
-        ["bound", "--budget", "0"], stdin=grid_text("GRID_K6_F4_Z1")
+        ["bound", "--budget", "0"], stdin=format_pda(partition_pda(3, 2))
     )
     assert code == EXIT_BUDGET
     assert "method: branch_bound (not proven maximal)" in out
+    assert "value: 17" in out.splitlines()
+
+
+@pytest.mark.parametrize(
+    "grid", [golden_grid("GRID_K6_F4_Z1"), mn_pda(5, 2)], ids=["K6-F4-Z1", "mn-5-2"]
+)
+def test_bound_budget_zero_meeting_the_grid_s_is_exact(run, grid):
+    # S* <= S for every PDA with these stars, so a fallback that meets S is
+    # S*: proven maximal, and no budget was short.
+    text = format_pda(grid)
+    code, out, _ = run(["bound", "--budget", "0"], stdin=text)
+    assert code == EXIT_OK
+    assert "method: branch_bound" in out.splitlines()
+    assert "(not proven maximal)" not in out
+    code, out, _ = run(["bound", "--budget", "0", "--format", "json"], stdin=text)
+    payload = json.loads(out)
+    assert code == EXIT_OK
+    assert (payload["method"], payload["exact"], payload["certified"]) == (
+        "branch_bound",
+        True,
+        True,
+    )
+    assert payload["value"] == payload["grid_symbols"] == pda_params(grid).s
+
+
+def test_bound_meeting_the_s_of_an_invalid_grid_proves_nothing(run):
+    # K6-F4-Z1 with cell (2, 1) relabelled from 4 to 1: column 1 holds 1
+    # twice (C3 fails), and S stays 11.  S* <= S holds only for a PDA.
+    text = grid_text("GRID_K6_F4_Z1").replace("\n4 5 * 3", "\n1 5 * 3")
+    grid = parse_pda(text)
+    assert not verify_pda(grid).valid and pda_params(grid).s == 11
+    code, out, _ = run(["bound", "--budget", "0"], stdin=text)
+    assert code == EXIT_BUDGET
+    assert "value: 11" in out.splitlines()
+    assert "method: branch_bound (not proven maximal)" in out
+    assert "optimality certified" not in out
 
 
 def test_bound_ordered_partition_reports_the_derived_value(run):
@@ -238,7 +275,19 @@ def test_bound_ordered_bipartite_certifies_when_tight(run):
     )
     assert code == EXIT_OK
     assert "value: 10" in out
+    assert "method: prescribed" in out.splitlines()
     assert "optimality certified: bound meets S = 10" in out
+
+
+def test_bound_ordered_bipartite_meeting_s_is_exact(run):
+    code, out, _ = run(
+        ["bound", "--method", "ordered:bipartite", "--m", "5", "--a", "2", "--b", "1",
+         "--format", "json"],
+        stdin=format_pda(bipartite_pda(5, 2, 1)),
+    )
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert (payload["value"], payload["method"], payload["exact"]) == (10, "prescribed", True)
 
 
 def test_bound_json_carries_the_certificate_and_grid_fields(run):
@@ -410,7 +459,7 @@ def test_placement_outside_the_row_range_exits_one(run, command, text):
 
 def test_bound_budget_truncation_exits_three(run):
     code, out, _ = run(
-        ["bound", "--budget", "1"], stdin=grid_text("GRID_K6_F4_Z1")
+        ["bound", "--budget", "1"], stdin=format_pda(partition_pda(3, 2))
     )
     assert code == EXIT_BUDGET
     assert "(not proven maximal)" in out
@@ -466,6 +515,57 @@ def test_search_settles_a_shape_that_c_f_z_divides_in_one_evaluation(run, k, f, 
         1,
         True,
     )
+
+
+@pytest.mark.parametrize(
+    "k,f,z,line",
+    [
+        (4, 6, 3, "floor: 3"),  # the min-max, 4, is above the floor
+        (5, 4, 2, "floor: 4"),  # met, but C(4, 2) does not divide 5
+        (60, 4, 2, "floor: 40, met by construct grouping --m 4 --a 2 --b 1 --h 10"),
+    ],
+)
+def test_a_complete_search_prints_its_floor(run, k, f, z, line):
+    argv = ["search", "--k", str(k), "--f", str(f), "--z", str(z)]
+    code, out, _ = run(argv)
+    assert code == EXIT_OK
+    assert out.splitlines()[2] == line
+    code, out, _ = run(argv + ["--format", "json"])
+    payload = json.loads(out)
+    assert code == EXIT_OK
+    assert payload["lower_bound"] == payload["best_value"] == {4: 4, 5: 4, 60: 40}[k]
+
+
+def test_a_truncated_search_prints_the_interval_it_proved(run):
+    argv = ["search", "--k", "12", "--f", "6", "--z", "3", "--budget", "2000"]
+    code, out, _ = run(argv)
+    assert code == EXIT_BUDGET
+    assert out.splitlines()[1:3] == [
+        "evaluated 2000 placements (1044 pruned), TRUNCATED by budget",
+        "floor: 9, so the min-max lies in [9, 14]",
+    ]
+    code, out, _ = run(argv + ["--format", "json"])
+    payload = json.loads(out)
+    assert code == EXIT_BUDGET
+    assert (payload["best_value"], payload["exhaustive"], payload["lower_bound"]) == (
+        14,
+        False,
+        9,
+    )
+
+
+def test_a_search_with_an_inexact_bound_prints_the_floor_alone(run, monkeypatch):
+    from pda_workbench import cli
+
+    real = cli.theorem3_search
+
+    def inexact(*args, **kwargs):
+        return real(*args, **kwargs)._replace(exhaustive=False, bounds_exact=False)
+
+    monkeypatch.setattr(cli, "theorem3_search", inexact)
+    code, out, _ = run(["search", "--k", "12", "--f", "6", "--z", "3", "--budget", "2000"])
+    assert code == EXIT_BUDGET
+    assert out.splitlines()[2] == "floor: 9"
 
 
 def test_search_budget_truncation_exits_three(run):

@@ -7,13 +7,13 @@ import pytest
 
 from conftest import BIPARTITE_M5_A2_B1, GRID_K4_F6_Z3, PARTITION_Q3_M2
 from pda_workbench.constructions import (
-    BipartiteSpec,
-    PartitionSpec,
+    bipartite_params,
     bipartite_pda,
     grouping_pda,
     mn_pda,
     partition_column_id,
     partition_columns,
+    partition_params,
     partition_pda,
     partition_rows,
     residue_q,
@@ -84,7 +84,7 @@ def test_partition_columns_are_u_major():
 def test_partition_sweep_valid_with_expected_params(q, m):
     grid = partition_pda(q, m)
     assert verify_pda(grid).valid
-    assert pda_params(grid) == PartitionSpec(q, m).expected_params()
+    assert pda_params(grid) == partition_params(q, m)
     # every pinned vector shows up once per coordinate group
     assert set(symbol_multiplicities(grid).values()) == {m + 1}
 
@@ -121,7 +121,7 @@ def test_subsets_are_lexicographic():
 def test_bipartite_sweep_valid_with_expected_params(m, a, b):
     grid = bipartite_pda(m, a, b)
     assert verify_pda(grid).valid
-    assert pda_params(grid) == BipartiteSpec(m, a, b).expected_params()
+    assert pda_params(grid) == bipartite_params(m, a, b)
     # each union symbol appears once per way of splitting it into (a, b)
     assert set(symbol_multiplicities(grid).values()) == {comb(a + b, a)}
 
@@ -161,7 +161,7 @@ def test_grouping_is_shifted_copies(m, a, b, h):
     base = bipartite_pda(m, a, b)
     grid = grouping_pda(m, a, b, h)
     assert verify_pda(grid).valid
-    assert pda_params(grid) == BipartiteSpec(m, a, b, h).expected_params()
+    assert pda_params(grid) == bipartite_params(m, a, b, h)
     shift = comb(m, a + b)
     for i in range(h):
         for k in range(1, base.k + 1):

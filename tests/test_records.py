@@ -8,7 +8,7 @@ import pytest
 
 from pda_workbench import bounds, constructions, core, filler, formulas, simulate
 from pda_workbench.bounds import BoundCertificate, eval_ordering, theorem3_search
-from pda_workbench.constructions import BipartiteSpec, PartitionSpec, mn_pda
+from pda_workbench.constructions import mn_pda
 from pda_workbench.core import (
     STAR,
     MalformedGridError,
@@ -47,8 +47,6 @@ def _samples():
         pattern,
         Violation("C2", (), "symbol 1 never appears"),
         verify_pda(grid),
-        PartitionSpec(2, 2),
-        BipartiteSpec(4, 1, 2),
         eval_ordering(pattern, (1, 2, 3)),
         theorem3_search(2, 2, 1),
         build_conflict_graph(pattern),
@@ -77,7 +75,7 @@ def test_samples_cover_every_record_type():
         and obj.__module__ == module.__name__
     }
     assert {type(r) for r in SAMPLES} == defined
-    assert len(defined) == 18
+    assert len(defined) == 16
 
 
 @pytest.mark.parametrize("record", SAMPLES, ids=lambda r: type(r).__name__)
