@@ -4,9 +4,9 @@ and byte-level scheme simulation.
 Import each name from the module that defines it:
 
 * core:          PdaGrid, StarPattern, verify_pda, pda_params, text formats
-* constructions: partition_pda, bipartite_pda, mn_pda, grouping_pda
-* bounds:        eval_ordering, theorem1_exact/greedy, theorem3_search,
-                 the families' prescribed orderings
+* constructions: partition_pda, bipartite_pda, mn_pda, grouping_pda,
+                 the per-family orderings
+* bounds:        eval_ordering, theorem1_exact/greedy, theorem3_search
 * formulas:      the closed forms `table` reports
 * simulate:      FileLibrary, place/deliver/decode, demand sweeps
 * filler:        conflict-graph coloring (fill_exact); its budget also caps

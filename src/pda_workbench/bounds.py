@@ -11,12 +11,12 @@ intersection must be served by a symbol no earlier user could share.
 This module evaluates the sum for a prescribed ordering (`eval_ordering`),
 finds a maximizing ordering exactly by a longest path over the distinct
 running intersections (`theorem1_exact`) or greedily (`theorem1_greedy`),
-produces the prescribed orderings that are provably maximal for the
-partition and bipartite families, and minimizes S* over all admissible
-placements by one branch and bound (`theorem3_search`) to get a
-placement-free bound on the rate at a given subpacketization.  Every
-certificate is its ordering replayed by `eval_ordering`, the one place the
-sum is computed.
+and minimizes S* over all admissible placements by one branch and bound
+(`theorem3_search`) to get a placement-free bound on the rate at a given
+subpacketization.  Every certificate is its ordering replayed by
+`eval_ordering`, the one place the sum is computed.  The families'
+prescribed orderings live in `constructions`, beside the column numbering
+that they encode.
 """
 
 from __future__ import annotations
@@ -25,8 +25,11 @@ from collections import namedtuple
 from itertools import combinations, islice
 from math import comb
 
-# canonical_pattern is not called here; bench/layers.py patches it by this name.
-from .core import DEFAULT_NODE_BUDGET, StarPattern, canonical_pattern  # noqa: F401
+from .core import DEFAULT_NODE_BUDGET, StarPattern
+
+# Never called: bench/layers.py patches this name, until the benchmark's
+# trace stops looking it up (ROADMAP, benchmark shims).
+canonical_pattern = None
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -278,56 +281,6 @@ def theorem1_exact(
 
 
 # ---------------------------------------------------------------------------
-# Prescribed orderings for the two construction families
-# ---------------------------------------------------------------------------
-
-def partition_ordering(q: int, m: int) -> UserOrdering:
-    """Maximizing ordering for the partition PDA's columns.
-
-    Visit the value-q column of each of the first m coordinates, then the
-    checksum-coordinate columns (m+1, v), then everything else in plain
-    column order.  The tail never changes the sum: by then the running
-    intersection is empty.
-
-    Column (m+1, v) cuts the rows left with checksum residue v, so the
-    smaller residue class goes first.  By the two-size law (proved in
-    `formulas.partition_bound_closed`) residue q's class is the smaller
-    one, by one row, exactly when m is odd: the checksum columns run
-    q, 1..q-1 at odd m and 1..q at even m.
-    """
-    from .constructions import _check_partition, partition_column_id
-
-    _check_partition(q, m)
-    head = [partition_column_id(q, u, q) for u in range(1, m + 1)]
-    tail_vs = [q, *range(1, q)] if m % 2 else range(1, q + 1)
-    head += [partition_column_id(q, m + 1, v) for v in tail_vs]
-    seen = set(head)
-    rest = [k for k in range(1, (m + 1) * q + 1) if k not in seen]
-    return tuple(head + rest)
-
-
-def bipartite_ordering(m: int, a: int, b: int) -> UserOrdering:
-    """Maximizing ordering for the bipartite PDA's columns (a-subsets).
-
-    Start at [a]; at stage i visit the a-subsets of [a+i] that contain
-    a+i, i.e. [a+i] minus an i-subset of [a+i-1].  Each stage-i step
-    shrinks the intersection to the rows avoiding [a+i], contributing
-    C(m-a-i, b); the within-stage order is immaterial for the sum.  Users
-    are returned as column ids (lex ranks of the subsets).
-    """
-    from .constructions import _check_bipartite, subsets
-
-    _check_bipartite(m, a, b)
-    rank = {s: i + 1 for i, s in enumerate(subsets(m, a))}
-    order = [rank[tuple(range(1, a + 1))]]
-    for i in range(1, m - a + 1):
-        base = set(range(1, a + i + 1))
-        for j_set in combinations(range(1, a + i), i):
-            order.append(rank[tuple(sorted(base - set(j_set)))])
-    return tuple(order)
-
-
-# ---------------------------------------------------------------------------
 # Min-max placement search
 # ---------------------------------------------------------------------------
 
@@ -374,8 +327,8 @@ def theorem3_search(
        puts 1/C(f, z) on every subset.
     3. Every (f-z)-subset once is the star pattern of bipartite(f, z, 1),
        whose S* is C(f, z+1) (the bipartite family's bound, witnessed by
-       `bipartite_ordering`).  So k S*(u) = k C(f, z+1)/C(f, z) =
-       k(f-z)/(z+1).
+       `constructions.bipartite_ordering`).  So
+       k S*(u) = k C(f, z+1)/C(f, z) = k(f-z)/(z+1).
     4. When C(f, z) divides k, the round-robin placement, every subset
        k/C(f, z) times, meets the floor by steps 1 and 3, and so does
        grouping(f, z, 1, k/C(f, z)), a PDA of that shape.  The search

@@ -223,8 +223,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def _ordered_certificate(args: argparse.Namespace, pattern: StarPattern):
     """The `BoundCertificate` of the family ordering that --method names."""
-    from .bounds import bipartite_ordering, eval_ordering, partition_ordering
-    from .constructions import bipartite_params, partition_params
+    from .bounds import eval_ordering
+    from .constructions import (
+        bipartite_ordering,
+        bipartite_params,
+        partition_ordering,
+        partition_params,
+    )
 
     family = args.method.split(":", 1)[1]
     if family == "partition":

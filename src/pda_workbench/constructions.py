@@ -13,6 +13,10 @@ of a shape past the row or column cap.  Each builder calls one first.
   m=k, a=1, b=t.
 * grouping_pda(m, a, b, h): h bipartite copies side by side with disjoint
   symbol ranges; bipartite_params(m, a, b, h) multiplies K and S by h.
+
+partition_ordering and bipartite_ordering give the user orderings of the
+paper's proofs as column ids of these builders, for `bounds.eval_ordering`
+to replay.
 """
 
 from __future__ import annotations
@@ -132,6 +136,33 @@ def partition_pda(q: int, m: int) -> PdaGrid:
     return PdaGrid(tuple(cells))
 
 
+def partition_ordering(q: int, m: int) -> Tuple[int, ...]:
+    """The paper's user ordering for the partition PDA's columns.
+
+    Visit the value-q column of each of the first m coordinates, then the
+    checksum-coordinate columns (m+1, v), then everything else in plain
+    column order.  The tail never changes the sum: by then the running
+    intersection is empty.
+
+    Column (m+1, v) cuts the rows left with checksum residue v, so the
+    smaller residue class goes first.  By the two-size law (proved in
+    `formulas.partition_bound_closed`) residue q's class is the smaller
+    one, by one row, exactly when m is odd: the checksum columns run
+    q, 1..q-1 at odd m and 1..q at even m.
+
+    The ordering's value, `formulas.partition_bound_closed`, is a lower
+    bound that is not maximal past q = 2: at q = 3, m = 2 it is 15, while
+    S* is 17 and S is 18.  At q = 2 it meets S.
+    """
+    _check_partition(q, m)
+    head = [partition_column_id(q, u, q) for u in range(1, m + 1)]
+    tail_vs = [q, *range(1, q)] if m % 2 else range(1, q + 1)
+    head += [partition_column_id(q, m + 1, v) for v in tail_vs]
+    seen = set(head)
+    rest = [k for k in range(1, (m + 1) * q + 1) if k not in seen]
+    return tuple(head + rest)
+
+
 # ---------------------------------------------------------------------------
 # Bipartite (subset) PDA
 # ---------------------------------------------------------------------------
@@ -162,6 +193,27 @@ def bipartite_pda(m: int, a: int, b: int) -> PdaGrid:
                 row.append(union_rank[tuple(sorted(row_set + col_set))])
         cells.append(tuple(row))
     return PdaGrid(tuple(cells))
+
+
+def bipartite_ordering(m: int, a: int, b: int) -> Tuple[int, ...]:
+    """Maximizing user ordering for the bipartite PDA's columns (a-subsets).
+
+    Start at [a]; at stage i visit the a-subsets of [a+i] that contain
+    a+i, i.e. [a+i] minus an i-subset of [a+i-1].  Each stage-i step
+    shrinks the intersection to the rows avoiding [a+i], contributing
+    C(m-a-i, b); the within-stage order is immaterial for the sum.  The
+    steps add up to S = C(m, a+b), and S* <= S, so the ordering is
+    maximal.  Users are returned as column ids, the lex ranks of the
+    subsets in `bipartite_pda`'s column order.
+    """
+    _check_bipartite(m, a, b)
+    rank = {s: i + 1 for i, s in enumerate(subsets(m, a))}
+    order = [rank[tuple(range(1, a + 1))]]
+    for i in range(1, m - a + 1):
+        base = set(range(1, a + i + 1))
+        for j_set in combinations(range(1, a + i), i):
+            order.append(rank[tuple(sorted(base - set(j_set)))])
+    return tuple(order)
 
 
 def mn_pda(k: int, t: int) -> PdaGrid:

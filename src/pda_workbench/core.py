@@ -22,10 +22,6 @@ Typical round trip::
     params = pda_params(grid)       # (K, F, Z, S), rate, memory ratio
     pat = to_star_pattern(grid)     # per-user uncached row sets
 
-`canonical_pattern` (below) has no caller in the package.  It stays only
-as the hook that the benchmark's per-layer trace patches by name, until
-the benchmark stops patching it.
-
 Internally stars are stored as 0 (`STAR`) and symbols as positive ints.
 All external formats and reports are 1-based.
 
@@ -312,71 +308,6 @@ def to_star_pattern(grid: PdaGrid) -> StarPattern:
                 m |= 1 << j
         masks.append(m)
     return StarPattern(grid.f, tuple(masks))
-
-
-# ---------------------------------------------------------------------------
-# Canonical forms
-# ---------------------------------------------------------------------------
-
-def canonical_pattern(
-    pattern: StarPattern,
-    exact_rows: int = 10,
-    beam_width: int = 64,
-) -> StarPattern:
-    """Canonical representative of a pattern modulo row and column permutations.
-
-    Row orders are searched level by level: after placing t rows, each
-    column is a t-bit prefix, and the level signature is the sorted tuple
-    of those prefixes (sorting forgets column identity).  The canonical key
-    is the lexicographically least *sequence* of level signatures; because
-    level t's signature depends only on the first t placed rows, keeping
-    exactly the states that minimize each successive signature is an exact
-    search.  States whose (prefix, remaining-rows) column multisets coincide
-    lead to identical futures and are merged, which keeps the frontier small.
-
-    Exact for F <= exact_rows.  Beyond that the frontier is truncated to
-    beam_width states per level: still deterministic and idempotent, but the
-    result is a heuristic key rather than a guaranteed canonical form.
-    """
-    f = pattern.f
-    # state = sorted tuple of (prefix, remaining) per column
-    frontier = {tuple(sorted((0, m) for m in pattern.masks))}
-    for level in range(f):
-        bit = 1 << level
-        best_sig: Optional[Tuple[int, ...]] = None
-        best_states = set()
-
-        def offer(state) -> None:
-            nonlocal best_sig, best_states
-            sig = tuple(sorted(p for p, _ in state))
-            if best_sig is None or sig < best_sig:
-                best_sig, best_states = sig, {state}
-            elif sig == best_sig:
-                best_states.add(state)
-
-        for pairs in frontier:
-            union = 0
-            for _, rem in pairs:
-                union |= rem
-            # Rows absent from every remaining column are interchangeable:
-            # placing one leaves the state unchanged.
-            if (f - level) > union.bit_count():
-                offer(pairs)
-            for j in _mask_to_rows(union):
-                rbit = 1 << (j - 1)
-                offer(
-                    tuple(
-                        sorted(
-                            (p | bit, rem & ~rbit) if rem & rbit else (p, rem)
-                            for p, rem in pairs
-                        )
-                    )
-                )
-        frontier = best_states
-        if f > exact_rows and len(frontier) > beam_width:
-            frontier = set(sorted(frontier)[:beam_width])
-    final = next(iter(frontier))
-    return StarPattern(f, tuple(sorted(p for p, _ in final)))
 
 
 # ---------------------------------------------------------------------------

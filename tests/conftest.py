@@ -12,8 +12,7 @@ from __future__ import annotations
 import itertools
 from typing import Dict, Tuple
 
-from pda_workbench.bounds import partition_ordering
-from pda_workbench.constructions import residue_q
+from pda_workbench.constructions import partition_ordering, residue_q
 from pda_workbench.core import STAR, PdaGrid
 
 Rows = Tuple[Tuple[int, ...], ...]

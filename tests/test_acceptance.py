@@ -29,18 +29,14 @@ from test_formulas import (
     union_sum,
 )
 
-from pda_workbench.bounds import (
-    bipartite_ordering,
-    eval_ordering,
-    partition_ordering,
-    theorem1_exact,
-    theorem3_search,
-)
+from pda_workbench.bounds import eval_ordering, theorem1_exact, theorem3_search
 from pda_workbench.cli import main
 from pda_workbench.constructions import (
+    bipartite_ordering,
     bipartite_pda,
     grouping_pda,
     mn_pda,
+    partition_ordering,
     partition_pda,
 )
 from pda_workbench.core import (

@@ -14,14 +14,18 @@ from test_formulas import union_sum
 from pda_workbench import bounds
 from pda_workbench.bounds import (
     BoundCertificate,
-    bipartite_ordering,
     eval_ordering,
-    partition_ordering,
     theorem1_exact,
     theorem1_greedy,
     theorem3_search,
 )
-from pda_workbench.constructions import bipartite_pda, grouping_pda, partition_pda
+from pda_workbench.constructions import (
+    bipartite_ordering,
+    bipartite_pda,
+    grouping_pda,
+    partition_ordering,
+    partition_pda,
+)
 from pda_workbench.core import StarPattern, pda_params, to_star_pattern
 
 

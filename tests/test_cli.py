@@ -1250,12 +1250,18 @@ SUBCOMMAND_RUNS = [
         PARTITION_2_2,
         {"bounds", "constructions"},
     ),
+    (
+        ["bound", "--method", "ordered:bipartite", "--m", "4", "--a", "1", "--b", "2"],
+        MN_4_2,
+        {"bounds", "constructions"},
+    ),
     (["search", "--k", "3", "--f", "2", "--z", "1"], "", {"bounds"}),
     (["fill"], MN_4_2, {"bounds", "filler"}),
     (["table", "--q-list", "2", "--m-max", "2"], "", {"bounds", "formulas", "constructions"}),
 ]
 SUBCOMMAND_IDS = [
-    "help", "construct", "verify", "simulate", "bound", "bound-ordered", "search", "fill", "table",
+    "help", "construct", "verify", "simulate", "bound", "bound-ordered",
+    "bound-ordered-bipartite", "search", "fill", "table",
 ]
 
 
@@ -1386,14 +1392,21 @@ def test_main_builds_the_subcommand_that_argparse_reaches(argv):
     assert parse_outcome(main, argv) == parse_outcome(_build_parser().parse_args, argv)
 
 
-# Every name that the benchmark's per-layer trace patches on the cli module,
-# which it looks up as cli.__dict__[name].
-PATCHED_ON_CLI = (
-    "parse_pda", "parse_placement", "verify_pda",
-    "partition_pda", "bipartite_pda", "mn_pda", "grouping_pda",
-    "theorem1_exact", "theorem3_search", "ratio_report", "fill_greedy", "fill_exact",
-    "place", "deliver", "decode", "run_sweep",
-)
+# Every name that the benchmark's per-layer trace patches, per module of the
+# package; it looks each one up in its owner's __dict__ (the class's, for a
+# dotted name).
+PATCHED = {
+    "cli": (
+        "parse_pda", "parse_placement", "verify_pda",
+        "partition_pda", "bipartite_pda", "mn_pda", "grouping_pda",
+        "theorem1_exact", "theorem3_search", "ratio_report", "fill_greedy", "fill_exact",
+        "place", "deliver", "decode", "run_sweep",
+    ),
+    "bounds": ("canonical_pattern", "theorem1_exact"),
+    "filler": ("theorem1_exact", "build_conflict_graph", "fill_greedy"),
+    "formulas": ("partition_pda", "theorem1_exact"),
+    "simulate": ("place", "deliver", "decode", "FileLibrary.generate"),
+}
 ENGINE_MODULES = {
     "partition_pda": "constructions", "bipartite_pda": "constructions",
     "mn_pda": "constructions", "grouping_pda": "constructions",
@@ -1438,7 +1451,7 @@ def test_engine_entry_points_are_cli_attributes_from_import_on():
     import importlib
 
     cli = fresh_cli()
-    assert [name for name in PATCHED_ON_CLI if name not in cli.__dict__] == []
+    assert [name for name in PATCHED["cli"] if name not in cli.__dict__] == []
     engines = {
         name: getattr(importlib.import_module("pda_workbench." + module), name)
         for name, module in ENGINE_MODULES.items()
@@ -1447,6 +1460,24 @@ def test_engine_entry_points_are_cli_attributes_from_import_on():
     for argv, stdin in EVERY_ENGINE_RUN:
         assert run_quietly(cli, argv, stdin) == EXIT_OK, argv
     assert [name for name in engines if cli.__dict__[name] is not engines[name]] == []
+
+
+def test_every_patch_point_of_the_trace_exists():
+    # A missing name would fail only the traced benchmark run, so tier-1
+    # checks the whole table, placeholders included.
+    import importlib
+
+    missing = []
+    for module, names in PATCHED.items():
+        owner = importlib.import_module("pda_workbench." + module)
+        for dotted in names:
+            *path, name = dotted.split(".")
+            holder = owner
+            for attr in path:
+                holder = getattr(holder, attr)
+            if name not in holder.__dict__:
+                missing.append(f"{module}.{dotted}")
+    assert missing == []
 
 
 @pytest.mark.parametrize("warm", [True, False], ids=["after-warm-up", "before-first-use"])

@@ -1,8 +1,7 @@
-"""Core types: the axiom checker against a brute-force oracle, canonical
-forms against an orbit oracle, and the text formats."""
+"""Core types: the axiom checker against a brute-force oracle, the
+params and star-pattern records, and the text formats."""
 
 import itertools
-import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +14,6 @@ from pda_workbench.core import (
     PdaGrid,
     PdaParams,
     StarPattern,
-    canonical_pattern,
     format_pda,
     format_placement,
     parse_pda,
@@ -233,70 +231,6 @@ def test_from_sets_rejects_out_of_range_rows():
         StarPattern(2, (1 << 2,))
     with pytest.raises(ValueError, match="at least one user"):
         StarPattern(2, ())
-
-
-# ---------------------------------------------------------------------------
-# canonical forms
-# ---------------------------------------------------------------------------
-#
-# Ground truth for small F: the orbit of a pattern under all row
-# permutations (columns handled by sorting masks).  Two patterns are
-# isomorphic exactly when their orbit minima agree, so the canonical key
-# must induce the same partition.
-
-
-def permute_rows(masks, perm):
-    return tuple(
-        sum(((m >> j) & 1) << perm[j] for j in range(len(perm))) for m in masks
-    )
-
-
-def orbit_min(f, masks):
-    return min(
-        tuple(sorted(permute_rows(masks, perm)))
-        for perm in itertools.permutations(range(f))
-    )
-
-
-@pytest.mark.parametrize("f,k", [(3, 2), (3, 3), (4, 3)])
-def test_canonical_key_equals_isomorphism_exhaustively(f, k):
-    by_canon = {}
-    by_orbit = {}
-    for masks in itertools.product(range(1 << f), repeat=k):
-        canon = canonical_pattern(StarPattern(f, masks)).masks
-        by_canon.setdefault(canon, set()).add(masks)
-        by_orbit.setdefault(orbit_min(f, masks), set()).add(masks)
-    assert sorted(by_canon.values(), key=sorted) == sorted(
-        by_orbit.values(), key=sorted
-    )
-
-
-@settings(max_examples=150, derandomize=True, deadline=None)
-@given(st.data())
-def test_canonical_invariant_under_permutations(data):
-    f = data.draw(st.integers(2, 9))
-    k = data.draw(st.integers(1, 5))
-    masks = tuple(
-        data.draw(st.integers(0, (1 << f) - 1), label=f"mask{i}") for i in range(k)
-    )
-    row_perm = data.draw(st.permutations(list(range(f))))
-    col_perm = data.draw(st.permutations(list(range(k))))
-    shuffled = tuple(permute_rows(masks, row_perm)[c] for c in col_perm)
-    assert (
-        canonical_pattern(StarPattern(f, masks)).masks
-        == canonical_pattern(StarPattern(f, shuffled)).masks
-    )
-
-
-def test_canonical_idempotent_and_sorted():
-    rng = random.Random(97)
-    for _ in range(80):
-        f = rng.randint(2, 13)  # crosses into the beam regime above 10
-        k = rng.randint(1, 5)
-        pat = StarPattern(f, tuple(rng.randint(0, (1 << f) - 1) for _ in range(k)))
-        c1 = canonical_pattern(pat)
-        assert c1.masks == tuple(sorted(c1.masks))
-        assert canonical_pattern(c1).masks == c1.masks
 
 
 # ---------------------------------------------------------------------------

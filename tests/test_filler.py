@@ -586,6 +586,28 @@ def test_a_cut_short_class_stage_keeps_what_it_proved():
     assert to_star_pattern(cut.grid) == pattern
 
 
+def test_a_cut_short_cover_refutes_nothing():
+    # A budget of no nodes ends the cover before its first branch.
+    assert filler._exact_cover(3, [0b111], 0) == (None, 1)
+    # On partition(3, 2) the fill is optimal once the budget pays for the
+    # class stage and the cover that follows it.  One node less cuts the
+    # cover short: the class bound 54 / 3 = 18 stands, but the missing
+    # cover does not raise it to 19.
+    pattern = to_star_pattern(partition_pda(3, 2))
+    graph = build_conflict_graph(pattern)
+    lb = theorem1_exact(pattern).value
+    top = max(filler._greedy_coloring(graph))
+    alpha, classes, class_nodes = filler._symbol_classes(graph, lb, top, 10**6)
+    cover, cover_nodes = filler._exact_cover(graph.n, classes, 10**6)
+    assert (graph.n, alpha, cover is not None) == (54, 3, True)
+    least = class_nodes + cover_nodes
+    cut = fill_exact(pattern, budget=least - 1)
+    assert (cut.colors, cut.optimal, cut.lower_bound, cut.class_size) == (29, False, 18, 3)
+    assert verify_pda(cut.grid).valid
+    full = fill_exact(pattern, budget=least)
+    assert (full.colors, full.optimal, full.lower_bound, full.class_size) == (18, True, 18, 3)
+
+
 # ------------------------------------------- frozen set-based reference
 # The conflict graph, first fit and saturation search as they were before
 # the filler moved to bitmasks: a pair loop building neighbor sets, a

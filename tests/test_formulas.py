@@ -15,9 +15,10 @@ import pytest
 
 from conftest import replayed_ordering_value
 from pda_workbench import formulas
-from pda_workbench.bounds import eval_ordering, partition_ordering
+from pda_workbench.bounds import eval_ordering
 from pda_workbench.constructions import (
     partition_columns,
+    partition_ordering,
     partition_pda,
     partition_rows,
     residue_q,
@@ -291,6 +292,14 @@ def test_ratio_report_budget_truncation_leaves_the_middle_open(monkeypatch):
     monkeypatch.setattr(formulas, "_EXACT_BUDGET", 2)
     rep = ratio_report(3, 3, want_exact=True)
     assert rep.s_exact is None
+
+
+def test_ratio_report_past_the_row_cap_leaves_the_middle_open(monkeypatch):
+    # partition(3, 8) would need 3^8 = 6,561 rows, past the row cap, so
+    # the exact bound is never asked for.
+    monkeypatch.setattr(formulas, "theorem1_exact", None)
+    rep = ratio_report(3, 8, want_exact=True)
+    assert (rep.s_pda, rep.s_derived, rep.s_exact, rep.mu) == (13122, 12867, None, None)
 
 
 def test_ratio_report_enforces_the_sandwich():

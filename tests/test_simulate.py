@@ -163,6 +163,16 @@ def test_demand_validation():
         deliver(grid, lib, (1, 2, 1, 3))  # file id beyond the library
 
 
+def test_place_and_deliver_refuse_a_library_of_another_row_count():
+    grid = mn_pda(4, 2)
+    lib = FileLibrary.generate(4, 7, seed=0)
+    refusal = "library has 7 packets per file, grid has 6 rows"
+    with pytest.raises(ValueError, match=refusal):
+        place(grid, lib)
+    with pytest.raises(ValueError, match=refusal):
+        deliver(grid, lib, (1, 2, 3, 4))
+
+
 # ---------------------------------------------------------------------------
 # rates and sweeps
 # ---------------------------------------------------------------------------
