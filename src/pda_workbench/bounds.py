@@ -25,7 +25,7 @@ from collections import namedtuple
 from itertools import combinations, islice
 from math import comb
 
-from .core import DEFAULT_NODE_BUDGET, StarPattern
+from .core import DEFAULT_NODE_BUDGET, StarPattern, ratio
 
 # Never called: bench/layers.py patches this name, until the benchmark's
 # trace stops looking it up (ROADMAP, benchmark shims).
@@ -33,7 +33,6 @@ canonical_pattern = None
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from fractions import Fraction
     from typing import Dict, List, Optional, Sequence, Tuple
     UserOrdering = Tuple[int, ...]
 
@@ -71,16 +70,14 @@ class BoundCertificate(
         return super().__new__(cls, value, f, witness, step_sizes, method, exact)
 
     @property
-    def rate_bound(self) -> Fraction:
-        from fractions import Fraction
-
-        return Fraction(self.value, self.f)
+    def rate_bound(self) -> Tuple[int, int]:
+        return ratio(self.value, self.f)
 
     def as_dict(self) -> dict:
-        rb = self.rate_bound
+        num, den = self.rate_bound
         return {
             "value": self.value,
-            "rate_bound": {"num": rb.numerator, "den": rb.denominator},
+            "rate_bound": {"num": num, "den": den},
             "witness": list(self.witness),
             "step_sizes": list(self.step_sizes),
             "method": self.method,
@@ -109,19 +106,17 @@ class SearchReport(
     __slots__ = ()
 
     @property
-    def rate_bound(self) -> Fraction:
-        from fractions import Fraction
-
-        return Fraction(self.best_value, self.f)
+    def rate_bound(self) -> Tuple[int, int]:
+        return ratio(self.best_value, self.f)
 
     def as_dict(self) -> dict:
-        rb = self.rate_bound
+        num, den = self.rate_bound
         return {
             "k": self.k,
             "f": self.f,
             "z": self.z,
             "best_value": self.best_value,
-            "rate_bound": {"num": rb.numerator, "den": rb.denominator},
+            "rate_bound": {"num": num, "den": den},
             "witness_uncached_sets": [
                 sorted(rows) for rows in self.best_pattern.uncached_sets()
             ],

@@ -43,7 +43,6 @@ from .core import (
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from fractions import Fraction
     from typing import Callable, Optional, Sequence, Tuple
 
     from .bounds import SearchReport
@@ -126,8 +125,12 @@ def _load_pattern(path: str) -> Tuple[StarPattern, Optional[PdaGrid]]:
     raise MalformedGridError(f"unrecognized header {head!r}; want 'PDA' or 'PLC'")
 
 
-def _frac_dict(x: Fraction) -> dict:
-    return {"num": x.numerator, "den": x.denominator}
+def _frac_dict(r: Tuple[int, int]) -> dict:
+    return {"num": r[0], "den": r[1]}
+
+
+def _frac_text(r: Tuple[int, int]) -> str:  # "n/d", or "n" when d is 1
+    return str(r[0]) if r[1] == 1 else f"{r[0]}/{r[1]}"
 
 
 def _write_json(path: Optional[str], command: str, **fields) -> None:
@@ -141,7 +144,7 @@ def _write_json(path: Optional[str], command: str, **fields) -> None:
 def _params_line(params: PdaParams) -> str:
     return (
         f"K={params.k} F={params.f} Z={params.z} S={params.s}"
-        f" rate={params.rate} memory={params.memory_ratio}"
+        f" rate={_frac_text(params.rate)} memory={_frac_text(params.memory_ratio)}"
     )
 
 
@@ -272,7 +275,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
         _write_json(None, "bound", **fields)
     else:
         print(f"value: {cert.value}")
-        print(f"rate bound: {cert.rate_bound}")
+        print(f"rate bound: {_frac_text(cert.rate_bound)}")
         print(f"method: {cert.method}" + ("" if cert.exact else " (not proven maximal)"))
         print("witness: " + " ".join(str(u) for u in cert.witness))
         print("steps: " + " ".join(str(s) for s in cert.step_sizes))
@@ -311,7 +314,7 @@ def cmd_search(args: argparse.Namespace) -> int:
     if args.format == "json":
         _write_json(None, "search", **report.as_dict())
     else:
-        print(f"min-max value: {report.best_value} (rate bound {report.rate_bound})")
+        print(f"min-max value: {report.best_value} (rate bound {_frac_text(report.rate_bound)})")
         state = "complete" if report.exhaustive else "TRUNCATED by budget"
         print(
             f"evaluated {report.nodes_explored} placements"
@@ -397,7 +400,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 terms = " ^ ".join(f"W[{d[k - 1]},{j}]" for k, j in sig.terms)
                 print(f"signal {sig.id}: {terms}")
             print("decode: " + ("OK (byte-exact)" if ok else f"FAILED ({failure})"))
-            print(f"rate: {params.rate}")
+            print(f"rate: {_frac_text(params.rate)}")
         return EXIT_OK if ok else EXIT_INVALID
 
     if args.sweep:
@@ -418,7 +421,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     else:
         verdict = "all byte-exact" if sweep.all_ok else f"FAILED at demand {sweep.first_failure}"
         print(f"checked {sweep.demands_checked} demand(s): {verdict}")
-        print(f"rate: {sweep.rate}")
+        print(f"rate: {_frac_text(sweep.rate)}")
     return EXIT_OK if sweep.all_ok else EXIT_INVALID
 
 
@@ -480,8 +483,8 @@ def cmd_table(args: argparse.Namespace) -> int:
                     m,
                     *numbers,
                     "" if row.s_exact is None else row.s_exact,
-                    "" if row.mu is None else f"{float(row.mu):.6f}",
-                    f"{float(row.formula_ratio):.6f}",
+                    "" if row.mu is None else f"{row.mu[0] / row.mu[1]:.6f}",
+                    f"{row.formula_ratio[0] / row.formula_ratio[1]:.6f}",
                 ]
             )
     _write_output(args.output, out.getvalue())

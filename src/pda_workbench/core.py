@@ -35,10 +35,10 @@ the 1-tuple `(cells,)`).  Their checks and normalisation run in
 from __future__ import annotations
 
 from collections import namedtuple
+from math import gcd
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from fractions import Fraction
     from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 STAR = 0
@@ -60,6 +60,12 @@ class MalformedGridError(ValueError):
     """Structural problem (ragged rows, bad token) -- not an axiom violation."""
 
 
+def ratio(num: int, den: int) -> Tuple[int, int]:
+    """num/den in lowest terms, as the pair (num, den); den must be positive."""
+    g = gcd(num, den)
+    return num // g, den // g
+
+
 class PdaParams(namedtuple("PdaParams", "k f z s")):
     __slots__ = ()
 
@@ -73,18 +79,14 @@ class PdaParams(namedtuple("PdaParams", "k f z s")):
         return super().__new__(cls, k, f, z, s)
 
     @property
-    def rate(self) -> Fraction:
-        """Transmission load S/F, exact."""
-        from fractions import Fraction
-
-        return Fraction(self.s, self.f)
+    def rate(self) -> Tuple[int, int]:
+        """Transmission load S/F, exact, as a `ratio` pair."""
+        return ratio(self.s, self.f)
 
     @property
-    def memory_ratio(self) -> Fraction:
-        """Fraction of the library each user caches, Z/F, exact."""
-        from fractions import Fraction
-
-        return Fraction(self.z, self.f)
+    def memory_ratio(self) -> Tuple[int, int]:
+        """Share of the library each user caches, Z/F, as a `ratio` pair."""
+        return ratio(self.z, self.f)
 
 
 class PdaGrid(namedtuple("PdaGrid", "cells")):

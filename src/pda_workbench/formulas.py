@@ -1,23 +1,22 @@
 """The closed forms `table` reports: the partition family's derived bound,
 its ratio to the construction's symbol count, and the exact bound beside them.
 
-Everything here is exact arithmetic (ints and Fractions), and the derived
-bound is one integer expression at every m, so no row cap limits it.  The
-test suite cross-checks it against independent oracles.
+Everything here is exact: ints, and ratios as `core.ratio` pairs.  The
+derived bound is one integer expression at every m, so no row cap limits
+it.  The test suite cross-checks it against independent oracles.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 
 from .bounds import theorem1_exact
 from .constructions import partition_pda
-from .core import to_star_pattern
+from .core import ratio, to_star_pattern
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from typing import Optional
+    from typing import Optional, Tuple
 
 _EXACT_BUDGET = 2_000_000  # intersections for ratio_report's exact bound
 
@@ -43,7 +42,7 @@ def partition_bound_closed(q: int, m: int) -> int:
 class RatioReport(
     namedtuple("RatioReport", "q m s_pda s_derived s_exact mu formula_ratio")
 ):
-    """One row of the bound-vs-construction comparison table."""
+    """One row of the comparison table; mu and formula_ratio are `ratio` pairs."""
 
     __slots__ = ()
 
@@ -54,8 +53,8 @@ class RatioReport(
         s_pda: int,
         s_derived: int,
         s_exact: Optional[int],
-        mu: Optional[Fraction],
-        formula_ratio: Fraction,
+        mu: Optional[Tuple[int, int]],
+        formula_ratio: Tuple[int, int],
     ) -> "RatioReport":
         if s_exact is not None:
             if not s_derived <= s_exact <= s_pda:
@@ -100,6 +99,6 @@ def ratio_report(
         s_pda=s_pda,
         s_derived=s_derived,
         s_exact=s_exact,
-        mu=None if s_exact is None else Fraction(s_exact, s_derived),
-        formula_ratio=Fraction(s_derived, s_pda),
+        mu=None if s_exact is None else ratio(s_exact, s_derived),
+        formula_ratio=ratio(s_derived, s_pda),
     )

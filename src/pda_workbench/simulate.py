@@ -42,7 +42,6 @@ import random
 import sys
 import time
 from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
@@ -297,11 +296,12 @@ class SweepResult(
 ):
     """Outcome of a demand sweep.
 
-    stats holds the demands, the signals and the XOR terms (each delivery
-    term and each cancellation term, sum of g_s^2 per demand) that the
-    scheme broadcasts and decodes for them, not the XORs the sweep itself
-    performs, and elapsed_s.  It is left out of ==, != and hash, so two
-    sweeps of the same input compare equal however long each took.
+    rate is the array's S/F as a `core.ratio` pair.  stats holds the
+    demands, the signals and the XOR terms (each delivery term and each
+    cancellation term, sum of g_s^2 per demand) that the scheme broadcasts
+    and decodes for them, not the XORs the sweep itself performs, and
+    elapsed_s.  It is left out of ==, != and hash, so two sweeps of the
+    same input compare equal however long each took.
     """
 
     __slots__ = ()
@@ -310,7 +310,7 @@ class SweepResult(
         cls,
         demands_checked: int,
         all_ok: bool,
-        rate: Fraction,
+        rate: Tuple[int, int],
         first_failure: Optional[Tuple[int, ...]] = None,
         stats: Optional[Dict[str, float]] = None,
     ) -> "SweepResult":
@@ -385,7 +385,7 @@ def run_sweep(
     return SweepResult(
         demands_checked=checked,
         all_ok=first_failure is None,
-        rate=Fraction(params.s, params.f),
+        rate=params.rate,
         first_failure=first_failure,
         stats={
             "demands": checked,

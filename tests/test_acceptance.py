@@ -7,7 +7,6 @@ import functools
 import itertools
 import random
 import time
-from fractions import Fraction
 from math import comb
 
 from conftest import (
@@ -34,20 +33,18 @@ from pda_workbench.cli import main
 from pda_workbench.constructions import (
     bipartite_ordering,
     bipartite_pda,
-    grouping_pda,
     mn_pda,
     partition_ordering,
     partition_pda,
 )
 from pda_workbench.core import (
-    STAR,
     StarPattern,
     pda_params,
     to_star_pattern,
     verify_pda,
 )
 from pda_workbench.filler import fill_exact, fill_greedy
-from pda_workbench.formulas import partition_bound_closed, ratio_report
+from pda_workbench.formulas import partition_bound_closed
 from pda_workbench.simulate import FileLibrary, all_demands, decode, deliver, place, run_sweep
 
 
@@ -104,7 +101,7 @@ def test_acceptance_2_exact_bound_on_the_z1_placement():
 def test_acceptance_3_minmax_search_and_fill_at_k4_f6_z3():
     report = theorem3_search(4, 6, 3)
     assert report.best_value == 4
-    assert report.rate_bound == Fraction(2, 3)
+    assert report.rate_bound == (2, 3)
     assert report.exhaustive
     filled = fill_exact(report.best_pattern)
     assert filled.optimal and filled.colors == 4

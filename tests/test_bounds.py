@@ -3,7 +3,6 @@ the running-union identity, and the min-max placement search."""
 
 import itertools
 import random
-from fractions import Fraction
 from math import comb
 
 import pytest
@@ -64,7 +63,7 @@ def test_prescribed_ordering_reaches_11():
     assert cert.value == 11
     assert cert.step_sizes == (3, 3, 2, 2, 1, 0)
     assert cert.method == "prescribed" and not cert.exact
-    assert cert.rate_bound == Fraction(11, 4)
+    assert cert.rate_bound == (11, 4)
 
 
 def test_exact_search_finds_11_with_lex_least_witness():
@@ -336,7 +335,7 @@ def brute_force_min_max(k, f, z):
 def test_min_max_on_the_half_memory_shape():
     rep = theorem3_search(4, 6, 3)
     assert rep.best_value == 4
-    assert rep.rate_bound == Fraction(2, 3)
+    assert rep.rate_bound == (2, 3)
     assert rep.exhaustive
     # the winning placement really attains 4 and is Z-uniform
     assert theorem1_exact(rep.best_pattern).value == 4

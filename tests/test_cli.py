@@ -12,6 +12,7 @@ import shutil
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -942,6 +943,24 @@ def test_table_default_cap_reaches_sixteen_users(run):
     assert rows[("4", "4")].split(",")[4:6] == ["", ""]  # K = 20, past the cap
 
 
+def test_table_ratios_print_as_fractions_would(run):
+    # Each ratio column is the reduced pair's int true division to six
+    # places; Fraction, computed here from the row's own counts, is the
+    # reference for both.
+    code, out, _ = run(
+        ["table", "--q-list", "2,3,4,5,6,16", "--m-max", "8", "--exact-cap", "12"]
+    )
+    assert code == EXIT_OK
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert len(rows) == 6 * 7
+    assert sum(row[4] != "" for row in rows) > 7  # q = 2 and the exact rows
+    for q, m, s_pda, s_derived, s_exact, mu, formula_ratio in rows:
+        want = Fraction(int(s_derived), int(s_pda))
+        assert formula_ratio == f"{float(want):.6f}", (q, m)
+        want = "" if s_exact == "" else f"{float(Fraction(int(s_exact), int(s_derived))):.6f}"
+        assert mu == want, (q, m)
+
+
 def test_table_skips_shapes_it_cannot_evaluate(run):
     # It skips none past the row cap: 3^8 and 3^9 rows are past it, and
     # both rows print the value that replaying the ordering counts.
@@ -1307,27 +1326,60 @@ def test_no_subcommand_loads_typing_without_site(argv, stdin, _engines):
     assert "typing" not in loaded
 
 
+NO_RATE_MODULES = {"fractions", "decimal"}
+
+
 @pytest.mark.parametrize(
     "argv, stdin, absent, present",
     [
-        (["fill", "-o", os.devnull], MN_4_2, {"json", "fractions"}, {"pda_workbench.filler"}),
+        (
+            ["fill", "-o", os.devnull],
+            MN_4_2,
+            {"json"} | NO_RATE_MODULES,
+            {"pda_workbench.filler"},
+        ),
         (
             ["construct", "mn", "--k", "4", "--t", "2", "-o", os.devnull],
             "",
-            {"json"},
+            {"json"} | NO_RATE_MODULES,
             {"pda_workbench.constructions"},
         ),
         # The control: the snapshot sees a standard module the run loads.
-        (["verify", "--format", "json"], MN_4_2, set(), {"json", "fractions"}),
+        (["verify", "--format", "json"], MN_4_2, NO_RATE_MODULES, {"json"}),
+        (
+            ["bound", "--format", "json"],
+            MN_4_2,
+            NO_RATE_MODULES,
+            {"json", "pda_workbench.bounds"},
+        ),
+        (
+            ["search", "--k", "3", "--f", "2", "--z", "1", "--format", "json"],
+            "",
+            NO_RATE_MODULES,
+            {"json", "pda_workbench.bounds"},
+        ),
+        (
+            ["simulate", "--files", "4", "--sample", "5", "--format", "json"],
+            MN_4_2,
+            NO_RATE_MODULES,
+            {"json", "pda_workbench.simulate"},
+        ),
+        (
+            ["table", "--q-list", "2,3", "--m-max", "3"],
+            "",
+            {"json"} | NO_RATE_MODULES,
+            {"pda_workbench.formulas"},
+        ),
     ],
-    ids=["fill", "construct", "verify-json"],
+    ids=["fill", "construct", "verify-json", "bound-json", "search-json", "simulate-json", "table"],
 )
 def test_a_subcommand_loads_json_and_fractions_only_when_it_uses_them(
     argv, stdin, absent, present
 ):
-    # json is loaded only where JSON is written, and fractions (which
-    # brings in decimal and numbers) only where a rate is computed.  The
-    # snapshot keeps the test true where site loads either one first.
+    # json is loaded only where JSON is written.  No subcommand loads
+    # fractions (which brings in decimal and numbers): rates and ratios are
+    # `core.ratio` pairs of ints.  The snapshot keeps the test true where
+    # site loads any of these first.
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys; before = set(sys.modules); from pda_workbench.cli import main;"
@@ -1504,7 +1556,7 @@ def test_a_wrapper_on_the_cli_sees_each_engine_call_once(warm):
 # CLI process pays for these, so a new one must show up here as a deliberate
 # change; an import inside the one command that needs it stays free.
 MODULE_LEVEL_IMPORTS = {
-    "__future__", "argparse", "collections", "fractions", "functools", "io",
+    "__future__", "argparse", "collections", "functools", "io",
     "itertools", "math", "os", "random", "sys", "time",
     "pda_workbench.bounds", "pda_workbench.constructions", "pda_workbench.core",
 }
@@ -1565,6 +1617,68 @@ def test_the_import_walk_skips_function_bodies():
     assert module_level_imports(tree) == {
         "os", "pda_workbench.core", "pda_workbench.bounds", "json", "csv", "decimal"
     }
+
+
+def string_annotation_names(tree):
+    """The names inside the string annotations of `tree`, such as Sequence
+    in `def f(x: "Sequence[int]")`."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            params = (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg)
+            annotations = [node.returns, *(p.annotation for p in params if p)]
+        elif isinstance(node, ast.AnnAssign):
+            annotations = [node.annotation]
+        else:
+            continue
+        for annotation in filter(None, annotations):
+            for text in ast.walk(annotation):
+                if isinstance(text, ast.Constant) and isinstance(text.value, str):
+                    for name in ast.walk(ast.parse(text.value, mode="eval")):
+                        if isinstance(name, ast.Name):
+                            yield name.id
+
+
+def unused_imports(sources):
+    """(file, name) for each name that an import statement anywhere in
+    `sources` (file name -> source text) binds and its file never names
+    again, in code or in a string annotation.  __future__ is skipped."""
+    found = []
+    for file, text in sources.items():
+        tree = ast.parse(text)
+        bound = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+            for alias in node.names
+        }
+        named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        named.update(string_annotation_names(tree))
+        found += [(file, name) for name in bound - named]
+    return sorted(found)
+
+
+def test_no_module_or_test_imports_a_name_it_never_uses():
+    sources = {"src/" + name: text for name, text in package_sources().items()}
+    tests = os.path.dirname(os.path.abspath(__file__))
+    for name in sorted(os.listdir(tests)):
+        if name.endswith(".py"):
+            with open(os.path.join(tests, name)) as fh:
+                sources["tests/" + name] = fh.read()
+    assert {"src/core.py", "tests/test_cli.py"} <= set(sources)
+    assert unused_imports(sources) == []
+
+
+def test_the_unused_import_scan_reads_string_annotations():
+    sources = {
+        "a.py": "from __future__ import annotations\n"
+        "import os.path\nimport json as j\nfrom typing import List, Sequence, Tuple\n"
+        "def f(x: \"Sequence[int]\") -> List[int]:\n"
+        "    import csv\n    from math import gcd\n    return gcd(1, 2)\n"
+        "y: \"Tuple[int, ...]\" = ()\n",
+    }
+    assert unused_imports(sources) == [("a.py", "csv"), ("a.py", "j"), ("a.py", "os")]
 
 
 def unreferenced_public_names(sources):

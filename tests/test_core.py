@@ -2,11 +2,14 @@
 params and star-pattern records, and the text formats."""
 
 import itertools
+import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import GOLDEN_PARAMS, golden_grid
+from pda_workbench.cli import _frac_dict, _frac_text
 from pda_workbench.core import (
     MAX_ROWS,
     STAR,
@@ -19,6 +22,7 @@ from pda_workbench.core import (
     parse_pda,
     parse_placement,
     pda_params,
+    ratio,
     to_star_pattern,
     verify_pda,
 )
@@ -161,9 +165,34 @@ def test_pda_params_requires_uniform_stars():
 
 def test_params_fractions_are_exact():
     p = pda_params(golden_grid("GRID_K4_F6_Z3"))
-    assert (p.rate.numerator, p.rate.denominator) == (2, 3)
-    assert (p.memory_ratio.numerator, p.memory_ratio.denominator) == (1, 2)
+    assert p.rate == (2, 3)
+    assert p.memory_ratio == (1, 2)
     assert tuple(p) == (4, 6, 3, 4)
+
+
+def test_ratio_and_the_cli_rate_text_agree_with_fractions():
+    # Fraction is the reference: the pair is its numerator and denominator,
+    # the text is str(Fraction), the JSON is {"num", "den"}, and table's six
+    # places round as float(Fraction) does.  The cases: zero, denominators
+    # of 1, equal values, shared factors, and a seeded sweep up to 40 digits.
+    big = 10 ** 40 - 1
+    cases = [(0, 1), (0, 7), (0, big), (1, 1), (5, 1), (big, 1), (7, 7), (big, big),
+             (6, 4), (48, 16), (17, 15), (2 * 3 ** 80, 3 ** 81)]
+    rng = random.Random(29)
+    for digits in (1, 2, 3, 6, 12, 20, 40):
+        top = 10 ** digits - 1
+        for _ in range(60):
+            g = rng.randint(1, top)
+            cases.append((rng.randint(0, top), rng.randint(1, top)))
+            cases.append((rng.randint(0, top) * g, rng.randint(1, top) * g))
+    for num, den in cases:
+        want = Fraction(num, den)
+        pair = ratio(num, den)
+        assert pair == (want.numerator, want.denominator), (num, den)
+        assert type(pair[0]) is int and type(pair[1]) is int
+        assert _frac_text(pair) == str(want)
+        assert _frac_dict(pair) == {"num": want.numerator, "den": want.denominator}
+        assert f"{pair[0] / pair[1]:.6f}" == f"{float(want):.6f}"
 
 
 @pytest.mark.parametrize(

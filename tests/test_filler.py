@@ -23,7 +23,6 @@ from pda_workbench.core import (
     verify_pda,
 )
 from pda_workbench.filler import (
-    ConflictGraph,
     FillResult,
     build_conflict_graph,
     fill_exact,

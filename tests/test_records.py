@@ -2,8 +2,6 @@
 and normalisation run on construction, and whose equality means what each
 record's callers rely on."""
 
-from fractions import Fraction
-
 import pytest
 
 from pda_workbench import bounds, constructions, core, filler, formulas, simulate
@@ -116,7 +114,7 @@ def test_records_rebuild_from_their_fields_by_position_and_keyword(record):
             "certificate value disagrees with its steps",
         ),
         (
-            lambda: RatioReport(3, 2, 18, 10, 20, None, Fraction(1)),
+            lambda: RatioReport(3, 2, 18, 10, 20, None, (1, 1)),
             ValueError,
             "exact value 20 outside [10, 18]",
         ),
@@ -175,8 +173,8 @@ def test_sweep_equality_ignores_stats():
 
 
 def test_sweeps_built_without_stats_do_not_share_one_dict():
-    a = SweepResult(1, True, Fraction(1, 2))
-    b = SweepResult(demands_checked=1, all_ok=True, rate=Fraction(1, 2))
+    a = SweepResult(1, True, (1, 2))
+    b = SweepResult(demands_checked=1, all_ok=True, rate=(1, 2))
     assert a.stats == {} and b.stats == {}
     assert a.stats is not b.stats
     a.stats["demands"] = 1
