@@ -366,17 +366,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if not result.valid:
         print(f"INVALID PDA: {len(result.violations)} violation(s)", file=sys.stderr)
         return EXIT_INVALID
+    if args.demand is not None:  # refused before any payload is drawn
+        d = _parse_demand(args.demand, grid.k, args.files)
     params = pda_params(grid)
     lib = FileLibrary.generate(
         n=args.files, f=grid.f, packet_len=args.packet_len, seed=args.seed
     )
 
     if args.demand is not None:
-        d = _parse_demand(args.demand, grid.k, args.files)
         transcript = deliver(grid, lib, d)
         caches = place(grid, lib)
         try:
-            outcome = decode(grid, transcript, caches, d, lib)
+            outcome = decode(grid, transcript, caches, lib)
             ok = outcome.ok
             failure = None
         except DecodeError as e:

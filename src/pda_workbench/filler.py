@@ -27,13 +27,14 @@ proves its answer with two lower bounds:
 * The symbol-class bound: a symbol class, the cells one symbol may take,
   is an independent set of the graph, so if no class has more than alpha
   cells every fill of the n cells needs ceil(n / alpha) symbols.  It runs
-  only when first fit stops above S*: a branch and bound finds alpha,
+  only when first fit stops above the ordering bound (S*, or the fallback
+  value when the bound's budget runs out): a branch and bound finds alpha,
   bounded by the distinct rows and columns among its candidates, and stops
-  as soon as a class is too large for the bound to beat S*.  When alpha divides n,
-  a fill with n / alpha symbols is an exact cover of the cells by
-  alpha-classes, which Algorithm X (Knuth, "Dancing Links", 2000) finds or
-  refutes.  On the partition family this certifies the construction's S,
-  which S* alone cannot.
+  as soon as a class is too large for the bound to beat the ordering
+  bound.  When alpha divides n, a fill with n / alpha symbols is an exact
+  cover of the cells by alpha-classes, which Algorithm X (Knuth, "Dancing
+  Links", 2000) finds or refutes.  On the partition family this certifies
+  the construction's S, which S* alone cannot.
 
 Past the bounds, `fill_exact` finds the chromatic number by trying k = LB,
 LB+1, ... with a backtracking search that colors the most saturated vertex

@@ -12,10 +12,10 @@ The work splits in two.  Which cells share a symbol is fixed by the array,
 so the schedule (the symbols in id order with their sorted terms and the
 check that none repeats a row or column, and for each user which rows it
 caches and which signal and cancellation terms serve the rest) is built
-once per array and memoised by grid content.  Only the payloads depend on
-the demand.  For one demand, delivery XORs each symbol's packets, and
-decoding XORs each signal with the cancellation terms taken from the
-user's own cache, one fold of packet bytes (`_xor_fold`) per signal or cell.
+once per call.  Only the payloads depend on the demand.  For one demand,
+delivery XORs each symbol's packets, and decoding XORs each signal with
+the cancellation terms taken from the user's own cache, one fold of packet
+bytes (`_xor_fold`) per signal or cell.
 
 A sweep either proves every demand from the schedule or decodes each one.
 Where every cache entry a user reads is the library's own packet object,
@@ -27,8 +27,8 @@ Nothing memoises the payloads: the caches share the library's packet
 objects, and a fold converts each packet when it reads it.  Every packet
 a fold reads is length-checked, so delivery refuses a wrong-length packet
 it broadcasts, decoding a wrong-length payload or cancellation term, and
-a sweep, which delivers only its first demand, any wrong-length packet
-of the library before it checks one.  Decoding reads the user's cache
+a sweep, which may deliver no demand at all, any wrong-length packet of
+the library before it counts a demand.  Decoding reads the user's cache
 alone and compares each joined file with the library's bytes.
 
 XOR over raw bytes stands in for the unspecified field: GF(2) suffices for
@@ -42,7 +42,6 @@ import random
 import sys
 import time
 from collections import namedtuple
-from functools import lru_cache
 from itertools import product
 
 from .core import DEFAULT_PACKET_LEN, STAR, PdaGrid, pda_params
@@ -188,8 +187,11 @@ class _Schedule(namedtuple("_Schedule", "symbols repeated rows")):
     # signal's other terms, which user k cancels out of its cache)
     __slots__ = ()
 
+    def refuse_repeats(self) -> None:
+        if self.repeated is not None:
+            raise ValueError(f"symbol {self.repeated} repeats a row or column; not a valid array")
 
-@lru_cache(maxsize=8)
+
 def _schedule(grid: PdaGrid) -> _Schedule:
     by_symbol: Dict[int, List[Term]] = {}
     symbol_at: Dict[Term, int] = {}
@@ -222,10 +224,7 @@ def deliver(grid: PdaGrid, lib: FileLibrary, d: Sequence[int]) -> DeliveryTransc
     """Broadcast one signal per symbol: XOR of W_{d_k, j} over its cells."""
     d = _check_demand(grid, lib, d)
     schedule = _schedule(grid)
-    if schedule.repeated is not None:
-        raise ValueError(
-            f"symbol {schedule.repeated} repeats a row or column; not a valid array"
-        )
+    schedule.refuse_repeats()
     n = lib.packet_len
     signals = []
     for s, terms in schedule.symbols:
@@ -245,7 +244,6 @@ def decode(
     grid: PdaGrid,
     transcript: DeliveryTranscript,
     caches: Sequence[Cache],
-    d: Sequence[int],
     lib: FileLibrary,
 ) -> DecodeResult:
     """Reassemble every user's requested file from cache plus signals.
@@ -255,9 +253,9 @@ def decode(
     the remainder.  A missing cancellation packet raises DecodeError naming
     the (signal, user, row) — that means the array never satisfied the
     axioms.  The ok flag compares every reassembled file byte-for-byte
-    against the library.
+    against the library.  The demand is the transcript's own.
     """
-    d = _check_demand(grid, lib, d)
+    d = _check_demand(grid, lib, transcript.demand)
     n = lib.packet_len
     payload_of = {s.id: _xor_fold((s.payload,), n) for s in transcript.signals}
     files: List[bytes] = []
@@ -300,36 +298,10 @@ class SweepResult(
     demands, the signals and the XOR terms (each delivery term and each
     cancellation term, sum of g_s^2 per demand) that the scheme broadcasts
     and decodes for them, not the XORs the sweep itself performs, and
-    elapsed_s.  It is left out of ==, != and hash, so two sweeps of the
-    same input compare equal however long each took.
+    elapsed_s.
     """
 
     __slots__ = ()
-
-    def __new__(
-        cls,
-        demands_checked: int,
-        all_ok: bool,
-        rate: Tuple[int, int],
-        first_failure: Optional[Tuple[int, ...]] = None,
-        stats: Optional[Dict[str, float]] = None,
-    ) -> "SweepResult":
-        if stats is None:
-            stats = {}
-        return super().__new__(cls, demands_checked, all_ok, rate, first_failure, stats)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SweepResult):
-            return NotImplemented
-        return self[:-1] == other[:-1]
-
-    def __ne__(self, other: object) -> bool:
-        if not isinstance(other, SweepResult):
-            return NotImplemented
-        return self[:-1] != other[:-1]
-
-    def __hash__(self) -> int:
-        return hash(self[:-1])
 
 
 def run_sweep(
@@ -347,8 +319,10 @@ def run_sweep(
     each demand is delivered and decoded: it fails when `decode` misses a
     cache entry or folds one of the wrong length, or a file differs from
     the library, and every demand fails when the array has other than S
-    symbols.  Only the first demand is delivered on a proved sweep.  Every
-    demand is validated, and the first failure in input order is reported.
+    symbols.  A proved sweep delivers no demand.  Every demand is
+    validated, and before the first is counted the sweep refuses a symbol
+    that repeats a row or column and a library packet of the wrong length,
+    as delivering it would.  The first failure in input order is reported.
     """
     start = time.perf_counter()
     params = pda_params(grid)
@@ -365,19 +339,18 @@ def run_sweep(
                                    for k, j in read for n in range(1, lib.n + 1))
     checked = 0
     first_failure = None
-    for d in map(tuple, demands):
-        if not checked:  # refuse a bad demand, array or library as a per-demand sweep would
-            deliver(grid, lib, d)
-            # a sweep delivers only its first demand, so fold (and so refuse) every
-            # packet of another length
+    for d in demands:
+        d = _check_demand(grid, lib, d)
+        if not checked:  # refuse a bad array or library as a per-demand sweep would
+            schedule.refuse_repeats()
+            # fold (and so refuse) every packet of another length
             _xor_fold((p for row in lib.packets for p in row if len(p) != lib.packet_len),
                       lib.packet_len)
-        _check_demand(grid, lib, d)
         checked += 1
         if first_failure is None and not proved:
             transcript = deliver(grid, lib, d)
             try:
-                ok = has_s_symbols and decode(grid, transcript, caches, d, lib).ok
+                ok = has_s_symbols and decode(grid, transcript, caches, lib).ok
             except (DecodeError, KeyError, ValueError):  # a missing or wrong-length entry
                 ok = False
             if not ok:

@@ -161,7 +161,7 @@ def test_acceptance_7_simulator_reproduces_the_worked_delivery():
     demand = (1, 2, 3, 4, 5, 6)
     transcript = deliver(grid, lib, demand)
     assert tuple(sig.terms for sig in transcript.signals) == SIGNAL_TERMS_K6_F4_Z2
-    outcome = decode(grid, transcript, place(grid, lib), demand, lib)
+    outcome = decode(grid, transcript, place(grid, lib), lib)
     assert outcome.ok
 
     sweep_grid = mn_pda(4, 2)

@@ -754,6 +754,28 @@ def test_simulate_demand_validation(run, demand, fragment):
     assert fragment in err
 
 
+@pytest.mark.parametrize(
+    "demand,message",
+    [
+        ("x", "bad demand 'x'; want comma-separated file ids"),
+        ("1,2", "demand has 2 entries, the array has K=6 users"),
+        ("1,2,3,4,5,7", "demand entries must lie in [1, 6]"),
+    ],
+)
+def test_simulate_refuses_a_bad_demand_before_drawing_the_library(
+    run, monkeypatch, demand, message
+):
+    def no_library(*args, **kwargs):
+        raise AssertionError("drew the library")
+
+    monkeypatch.setattr("pda_workbench.simulate.FileLibrary.generate", no_library)
+    code, out, err = run(
+        ["simulate", "--files", "6", "--demand", demand, "--packet-len", str((1 << 28) - 1)],
+        stdin=grid_text("GRID_K6_F4_Z2"),
+    )
+    assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
+
+
 def test_simulate_needs_a_mode(run):
     code, _, err = run(
         ["simulate", "--files", "2"], stdin=format_pda(mn_pda(4, 2))

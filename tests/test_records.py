@@ -22,7 +22,6 @@ from pda_workbench.filler import build_conflict_graph, fill_exact
 from pda_workbench.formulas import RatioReport, ratio_report
 from pda_workbench.simulate import (
     FileLibrary,
-    SweepResult,
     _schedule,
     decode,
     deliver,
@@ -54,7 +53,7 @@ def _samples():
         transcript.signals[0],
         transcript,
         _schedule(grid),
-        decode(grid, transcript, place(grid, lib), demand, lib),
+        decode(grid, transcript, place(grid, lib), lib),
         run_sweep(grid, lib, [demand]),
     ]
 
@@ -156,27 +155,3 @@ def test_verify_takes_a_grid_and_its_raw_cells_alike(grid):
     # checker must not mistake it for raw rows.
     assert verify_pda(grid) == verify_pda(grid.cells)
     assert verify_pda(grid) == verify_pda([list(row) for row in grid.cells])
-
-
-def test_sweep_equality_ignores_stats():
-    grid = mn_pda(3, 1)
-    lib = FileLibrary.generate(n=2, f=grid.f, packet_len=4, seed=0)
-    demands = [(1, 2, 1), (2, 2, 1)]
-    first, second = run_sweep(grid, lib, demands), run_sweep(grid, lib, demands)
-    assert first == second
-    assert not first != second
-    assert hash(first) == hash(second)
-
-    slow = first._replace(stats={**first.stats, "elapsed_s": first.stats["elapsed_s"] + 1})
-    assert slow == first and not slow != first and hash(slow) == hash(first)
-    assert first._replace(first_failure=(1, 2, 1)) != first
-
-
-def test_sweeps_built_without_stats_do_not_share_one_dict():
-    a = SweepResult(1, True, (1, 2))
-    b = SweepResult(demands_checked=1, all_ok=True, rate=(1, 2))
-    assert a.stats == {} and b.stats == {}
-    assert a.stats is not b.stats
-    a.stats["demands"] = 1
-    assert b.stats == {}
-    assert a == b

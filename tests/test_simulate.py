@@ -133,7 +133,7 @@ def test_decode_reassembles_every_file_byte_for_byte():
     lib = FileLibrary.generate(6, 4, packet_len=32, seed=5)
     caches = place(grid, lib)
     for d in [(1, 2, 3, 4, 5, 6), (2, 2, 2, 2, 2, 2), (6, 1, 6, 1, 6, 1)]:
-        res = decode(grid, deliver(grid, lib, d), caches, d, lib)
+        res = decode(grid, deliver(grid, lib, d), caches, lib)
         assert res.ok
         assert res.files == tuple(lib.file_bytes(n) for n in d)
 
@@ -243,7 +243,7 @@ def test_zero_bytes_survive_delivery_and_decoding():
     d = (1, 2, 1, 2, 1, 2)
     t = deliver(grid, lib, d)
     assert all(len(s.payload) == 4 for s in t.signals)
-    res = decode(grid, t, place(grid, lib), d, lib)
+    res = decode(grid, t, place(grid, lib), lib)
     assert res.ok and res.files == tuple(lib.file_bytes(n) for n in d)
 
 
@@ -259,7 +259,7 @@ def test_packets_of_the_wrong_length_are_rejected():
     t = deliver(grid, lib, d)
     caches[0][(2, 3)] = bytes(9)  # user 1 cancels W[2,3] out of signal 2
     with pytest.raises(ValueError, match="9 bytes"):
-        decode(grid, t, caches, d, lib)
+        decode(grid, t, caches, lib)
 
 
 def test_decode_checks_payloads_then_looks_up_a_rows_terms_before_their_lengths():
@@ -274,22 +274,22 @@ def test_decode_checks_payloads_then_looks_up_a_rows_terms_before_their_lengths(
     last = t.signals[-1]  # signal 4, which user 1 never reads
     short = t._replace(signals=t.signals[:-1] + (last._replace(payload=last.payload[:7]),))
     with pytest.raises(ValueError, match="cannot XOR 7 bytes with 8 bytes"):
-        decode(grid, short, caches, d, lib)
+        decode(grid, short, caches, lib)
     for missing, wrong in [((2, 1), (2, 2)), ((2, 2), (2, 1))]:
         caches = place(grid, lib)
         del caches[0][missing]
         caches[0][wrong] = bytes(9)
         with pytest.raises(DecodeError) as err:
-            decode(grid, t, caches, d, lib)
+            decode(grid, t, caches, lib)
         assert (err.value.signal, err.value.user, err.value.row) == (1, 1, 4)
     # a wrong-length library packet that no cache holds fails the comparison
     w16 = lib.packets[0][:5] + (bytes(7),)
-    res = decode(grid, t, place(grid, lib), d, lib._replace(packets=(w16, lib.packets[1])))
+    res = decode(grid, t, place(grid, lib), lib._replace(packets=(w16, lib.packets[1])))
     assert not res.ok and res.files == tuple(lib.file_bytes(n) for n in d)
 
 
 # ---------------------------------------------------------------------------
-# differential check against a byte-wise reference, and the schedule memo
+# differential check against a byte-wise reference, and the schedule
 # ---------------------------------------------------------------------------
 
 
@@ -345,7 +345,7 @@ def test_delivery_and_decode_match_the_bytewise_reference(grid):
         t = deliver(grid, lib, d)
         assert [(s.id, s.terms, s.payload) for s in t.signals] == signals
         assert t.decode_log == log
-        res = decode(grid, t, caches, d, lib)
+        res = decode(grid, t, caches, lib)
         assert res.files == files == tuple(lib.file_bytes(n) for n in d)
         assert res.ok
 
@@ -374,14 +374,14 @@ def test_integer_path_matches_bytes_and_reads_only_the_cache(name, seed):
     for sig in t.signals:
         assert sig.payload == xor([lib.packet(d[k - 1], j) for k, j in sig.terms])
     files = tuple(lib.file_bytes(n) for n in d)
-    res = decode(grid, t, place(grid, lib), d, lib)
+    res = decode(grid, t, place(grid, lib), lib)
     assert res.ok and res.files == files
 
     def swapped(k, key):
         """Decode with user k's entry `key` replaced by other bytes of its length."""
         caches = place(grid, lib)
         caches[k - 1][key] = bytes(b ^ 0xFF for b in caches[k - 1][key])
-        return decode(grid, t, caches, d, lib)
+        return decode(grid, t, caches, lib)
 
     cells = cancellation_cells(grid)
     cancelled = {  # the cache entries each user cancels out of its signals
@@ -406,7 +406,7 @@ def test_integer_path_matches_bytes_and_reads_only_the_cache(name, seed):
         for key, packet in cache.items():
             cache[key] = bytes(bytearray(packet))  # equal bytes, a new object
             assert cache[key] is not packet
-    res = decode(grid, t, caches, d, lib)
+    res = decode(grid, t, caches, lib)
     assert res.ok and res.files == files
 
 
@@ -421,14 +421,14 @@ def test_transcripts_share_no_state_through_the_memo():
     again = deliver(grid, lib, d)
     assert again.decode_log == expected
     assert again.signals == deliver(PdaGrid(grid.cells), lib, d).signals
-    res = decode(grid, again, place(grid, lib), d, lib)
+    res = decode(grid, again, place(grid, lib), lib)
     assert res.ok
     assert deliver(grid, lib, d).decode_log == expected
 
 
 def test_grids_of_one_shape_never_share_a_schedule():
     # Same shape and stars, symbols 1 and 2 swapped: each array must be
-    # delivered by its own cells, even when both sit in the memo.
+    # delivered by its own cells, one after the other.
     grid = golden_grid("GRID_K6_F4_Z2")
     swapped = PdaGrid(
         tuple(tuple({1: 2, 2: 1}.get(c, c) for c in row) for row in grid.cells)
@@ -444,12 +444,24 @@ def test_grids_of_one_shape_never_share_a_schedule():
         assert t.decode_log == log
 
 
-def test_a_sweep_builds_the_schedule_once():
+def test_a_sweep_builds_the_schedule_once(monkeypatch):
+    # A proved sweep builds the schedule once and delivers no demand.
     grid = mn_pda(4, 2)
     lib = FileLibrary.generate(2, 6, packet_len=8, seed=9)
-    _schedule.cache_clear()
-    res = run_sweep(PdaGrid(grid.cells), lib, all_demands(2, 4))
-    assert _schedule.cache_info().misses == 1
+    calls = []
+
+    def counted(name):
+        real = getattr(simulate, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+        return wrapper
+
+    for name in ("_schedule", "deliver"):
+        monkeypatch.setattr(simulate, name, counted(name))
+    res = run_sweep(grid, lib, all_demands(2, 4))
+    assert calls == ["_schedule"]
     assert res.all_ok and res.demands_checked == 16
     # four symbols, each on three cells: 3 delivery + 3 * 2 cancellation terms
     assert {key: res.stats[key] for key in ("demands", "signals", "xor_terms")} == {
@@ -476,9 +488,9 @@ def test_a_sweep_decodes_only_the_demands_it_cannot_prove(monkeypatch, flip):
 
     calls = []
 
-    def decode(grid, transcript, caches, d, lib):
-        calls.append(tuple(d))
-        return real_decode(grid, transcript, caches, d, lib)
+    def decode(grid, transcript, caches, lib):
+        calls.append(transcript.demand)
+        return real_decode(grid, transcript, caches, lib)
 
     monkeypatch.setattr(simulate, "place", place)
     monkeypatch.setattr(simulate, "decode", decode)
@@ -509,7 +521,7 @@ def per_demand_sweep(grid, lib, demands):
             signals += len(t.signals)
             xor_terms += sum(len(s.terms) ** 2 for s in t.signals)
             try:
-                ok = len(t.signals) == params.s and decode(grid, t, caches, d, lib).ok
+                ok = len(t.signals) == params.s and decode(grid, t, caches, lib).ok
             except (DecodeError, KeyError):
                 ok = False
             if not ok and first_failure is None:
@@ -576,26 +588,81 @@ def test_block_sweep_matches_a_per_demand_sweep(grid, packet_len):
     assert block_sweep(grid, lib, iter(demands)) == expected
 
 
+def random_array(rng):
+    """Uniform stars and F, K <= 4.  Each symbol cell reuses a symbol that
+    shares no row or column with it, or takes the next id; now and then one
+    cell then skips an id (C2 fails) or takes any id, which may repeat a row
+    or column."""
+    f, k = rng.randint(1, 4), rng.randint(1, 4)
+    z = rng.randint(0, f - 1)
+    cells = [[STAR] * k for _ in range(f)]
+    free = [(j, c) for c in range(k) for j in rng.sample(range(f), f - z)]
+    rng.shuffle(free)
+    at = {}  # symbol -> its cells
+    for j, c in free:
+        fits = [s for s, on in at.items() if all(j != j2 and c != c2 for j2, c2 in on)]
+        s = rng.choice(fits) if fits and rng.random() < 0.7 else len(at) + 1
+        at.setdefault(s, []).append((j, c))
+        cells[j][c] = s
+    j, c = rng.choice(free)
+    fault = rng.random()
+    if fault < 0.15:
+        cells[j][c] = len(at) + 2
+    elif fault < 0.3:
+        cells[j][c] = rng.randint(1, len(at))
+    return PdaGrid(tuple(map(tuple, cells)))
+
+
+def test_a_sweep_passes_exactly_the_valid_arrays():
+    # Wherever run_sweep returns (it refuses a symbol that repeats a row or
+    # column), it passes every demand of a valid array and fails the first
+    # demand of an invalid one, where C2 or C3b fails every demand.
+    rng = random.Random(30)
+    outcomes = {True: 0, False: 0}
+    for _ in range(2000):
+        grid = random_array(rng)
+        lib = FileLibrary.generate(rng.randint(1, 3), grid.f, packet_len=rng.randint(1, 4),
+                                   seed=rng.randrange(1 << 16))
+        demands = list(sample_demands(lib.n, grid.k, rng.randint(1, 4), seed=rng.randrange(99)))
+        try:
+            res = run_sweep(grid, lib, demands)
+        except ValueError as e:
+            assert "repeats a row or column" in str(e)
+            continue
+        valid = verify_pda(grid).valid
+        outcomes[valid] += 1
+        assert res.all_ok == valid
+        assert res.first_failure in (None, demands[0])
+        assert res.demands_checked == len(demands)
+    assert min(outcomes.values()) > 600, outcomes
+
+
 def test_block_sweep_raises_as_the_per_demand_sweep_does():
     grid = mn_pda(4, 2)
     lib = FileLibrary.generate(2, 6, packet_len=8, seed=3)
     short = FileLibrary(n=2, f=6, packet_len=8, packets=(lib.packets[0][:5] + (bytes(7),),
                                                           lib.packets[1]))
     later_bad = [(1, 1, 1, 1), (1, 2, 1, 2), (1, 2, 3, 1), (1, 2, 1)]
-    for library, demands, message in [
-        (lib, later_bad, "demanded file 3 outside"),
-        (lib, [(1, 2, 1), (1, 2, 3, 1)], "demand length 3"),
-        (short, [(1, 1, 1, 1)], "7 bytes"),
+    # symbol 1 repeats row 1, and W[1,1] is one byte short: the demand is
+    # refused first, then the repeat, then the packet
+    repeated = PdaGrid(((1, 1, STAR), (STAR, STAR, 2)))
+    short_w11 = FileLibrary(n=1, f=2, packet_len=8, packets=((bytes(7), bytes(8)),))
+    for g, library, demands, message in [
+        (grid, lib, later_bad, "demanded file 3 outside"),
+        (grid, lib, [(1, 2, 1), (1, 2, 3, 1)], "demand length 3"),
+        (grid, short, [(1, 1, 1, 1)], "7 bytes"),
+        (repeated, short_w11, [(1, 2, 1)], "demanded file 2 outside"),
+        (repeated, short_w11, [(1, 1, 1), (1, 2, 1)], "symbol 1 repeats a row or column"),
     ]:
-        expected = per_demand_sweep(grid, library, demands)
-        assert block_sweep(grid, library, demands) == expected
+        expected = per_demand_sweep(g, library, demands)
+        assert block_sweep(g, library, demands) == expected
         assert message in expected[1]
     assert block_sweep(grid, lib, []) == (0, True, None, {"demands": 0, "signals": 0,
                                                           "xor_terms": 0})
 
 
 def test_a_sweep_refuses_a_short_packet_that_its_first_demand_never_reads():
-    # A sweep delivers only its first demand, so no fold would read the short
+    # A proved sweep delivers no demand, so no fold would read the short
     # W[2,6] that a later demand broadcasts; the sweep refuses it up front.
     grid = mn_pda(4, 2)
     lib = FileLibrary.generate(2, 6, packet_len=8, seed=3)
@@ -696,7 +763,7 @@ def test_overwriting_a_star_with_a_known_symbol_breaks_decoding():
     caches = place(grid, lib)
     d = (1, 2, 3, 4, 5, 6)
     with pytest.raises(DecodeError) as err:
-        decode(grid, deliver(grid, lib, d), caches, d, lib)
+        decode(grid, deliver(grid, lib, d), caches, lib)
     assert (err.value.signal, err.value.user, err.value.row) == (4, 1, 1)
 
 
@@ -751,7 +818,7 @@ def test_star_corruption_fuzz_never_decodes_silently():
         d = tuple(rng.randint(1, 2) for _ in range(base.k))
         try:
             t = deliver(grid, lib, d)
-            decode(grid, t, place(grid, lib), d, lib)
+            decode(grid, t, place(grid, lib), lib)
         except (ValueError, DecodeError):
             failures += 1
     assert failures == 100
