@@ -190,64 +190,60 @@ def theorem1_exact(
     A longest path over the distinct running intersections.  A user whose
     uncached set contains the running intersection I leaves it unchanged
     and adds |I|, so taking every such user at once is optimal; after that
-    the best future depends on I alone:
+    the best future depends on I alone.  With N(J) the number of users
+    whose A_w contains J, one table holds, per intersection,
 
-        f(I) = max over u with {} != I & A_u != I of
-               (N(I & A_u) - N(I)) * |I & A_u| + f(I & A_u),
+        done(I) = N(I) * |I| + max over u with {} != I & A_u != I of
+                  (done(I & A_u) - N(I) * |I & A_u|),
 
-    where N(J) counts the users with A_w containing J, and
-    S* = N(full) * F + f(full).  f is memoised per intersection and
-    `budget` caps the number of intersections expanded.
+    a maximum of nothing being 0, and S* = done(full).  `budget` caps the
+    number of intersections expanded.
 
-    The witness is rebuilt from the memo: a prefix of p users with running
-    intersection I has exact future (N(I) - p) * |I| + f(I), so taking at
-    each step the smallest unused user whose step plus future still meets
-    the optimum gives the lexicographically smallest optimal ordering.  The
-    certificate is that ordering replayed by `eval_ordering`, and an
-    AssertionError is raised if the replay misses S*.  If the budget runs
-    out, the better of the identity ordering and the greedy one is returned
-    with method "branch_bound" and exact=False.  A negative budget raises
-    ValueError.
+    The witness is rebuilt from the table: a prefix of p users with running
+    intersection I has exact future done(I) - p * |I|, so taking at each
+    step the smallest unused user u whose step plus future,
+    done(I & A_u) - p * |I & A_u|, still meets the optimum gives the
+    lexicographically smallest optimal ordering.  The certificate is that
+    ordering replayed by `eval_ordering`, and an AssertionError is raised
+    if the replay misses S*.  If the budget runs out, the better of the
+    identity ordering and the greedy one is returned with method
+    "branch_bound" and exact=False.  A negative budget raises ValueError.
     """
     if budget < 0:
         raise ValueError(f"need a budget of at least 0 intersections, got {budget}")
     masks = pattern.masks
     full = (1 << pattern.f) - 1
-    holders: Dict[int, int] = {0: len(masks), full: masks.count(full)}  # N(J)
-    memo: Dict[int, int] = {0: 0}  # f(J), once every child of J is done
+    done: Dict[int, int] = {0: 0}  # done(J), once every child of J is done
+
     # Depth-first with an explicit stack, so that the depth is not tied to
-    # the recursion limit.  A frame is [I, N(I), the children of I not yet
-    # visited, best future so far].  A child already in the memo is folded
-    # into its parent at once, a new one is expanded, and a finished frame
-    # is memoised and folded into the frame below it.
-    stack = [[full, holders[full], iter({full & a for a in masks} - {full, 0}), 0]]
+    # the recursion limit.  A frame is (I, N(I), an iterator over the
+    # children of I, those children).  A child not yet done is expanded,
+    # and a frame whose iterator runs out is done.
+    def frame(inter: int) -> tuple:
+        rest = [inter & a for a in masks]
+        children = set(rest) - {inter, 0}
+        return inter, rest.count(inter), iter(children), children
+
+    stack = [frame(full)]
     expanded = 1
     while stack and expanded <= budget:
-        frame = stack[-1]
-        inter, n, children, _ = frame
-        for child in children:
-            if child not in holders:
-                holders[child] = sum(1 for a in masks if a & child == child)
-            if child not in memo:
+        inter, n, unvisited, children = stack[-1]
+        for child in unvisited:
+            if child not in done:
                 expanded += 1
-                grandchildren = {child & a for a in masks} - {child, 0}
-                stack.append([child, holders[child], iter(grandchildren), 0])
+                stack.append(frame(child))
                 break
-            gain = (holders[child] - n) * child.bit_count() + memo[child]
-            frame[3] = max(frame[3], gain)
         else:
             stack.pop()
-            memo[inter] = frame[3]
-            if stack:
-                parent = stack[-1]
-                gain = (n - parent[1]) * inter.bit_count() + frame[3]
-                parent[3] = max(parent[3], gain)
+            done[inter] = n * inter.bit_count() + max(
+                (done[j] - n * j.bit_count() for j in children), default=0
+            )
     if stack:
         identity = eval_ordering(pattern, range(1, pattern.k + 1))
         greedy = theorem1_greedy(pattern)
         best_cert = greedy if greedy.value > identity.value else identity
         return best_cert._replace(method="branch_bound", exact=False)
-    target = holders[full] * full.bit_count() + memo[full]
+    target = done[full]
 
     inter = full
     k = pattern.k
@@ -263,7 +259,7 @@ def theorem1_exact(
                 continue
             child = inter & masks[u - 1]
             size = child.bit_count()
-            if (holders[child] - len(witness)) * size + memo[child] == remaining:
+            if done[child] - len(witness) * size == remaining:
                 break
         used[u] = True
         witness.append(u)
@@ -271,7 +267,7 @@ def theorem1_exact(
         inter = child
     cert = eval_ordering(pattern, witness)
     if cert.value != target:
-        raise AssertionError(f"witness replays to {cert.value}, the memo says {target}")
+        raise AssertionError(f"witness replays to {cert.value}, the table says {target}")
     return cert._replace(method="exact", exact=True)
 
 

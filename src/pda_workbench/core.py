@@ -49,8 +49,8 @@ MAX_ROWS = 4096
 
 # Engine defaults that the CLI's parser shows.  They live here, not in the
 # engines, so that building the parser imports no engine.  The node budget
-# counts intersections the exact bound may expand; each one stays in its
-# memo (about 120 bytes), so it also caps memory near 1.2 GB.
+# counts intersections the exact bound may expand; each one keeps one
+# integer in its table (under 90 bytes), so it also caps memory near 0.9 GB.
 DEFAULT_NODE_BUDGET = 10_000_000
 DEFAULT_COLOR_BUDGET = 5_000_000  # nodes of the exact fill's search
 DEFAULT_PACKET_LEN = 64  # bytes per packet of a simulated library

@@ -3,6 +3,7 @@ the running-union identity, and the min-max placement search."""
 
 import itertools
 import random
+import tracemalloc
 from math import comb
 
 import pytest
@@ -108,10 +109,25 @@ def test_exact_matches_brute_force_values_and_witnesses():
 
 def test_exact_matches_brute_force_at_seven_users():
     rng = random.Random(77)
+    patterns = []
     for _ in range(40):
         f = rng.randint(2, 7)
-        pat = StarPattern(f, tuple(rng.randint(0, (1 << f) - 1) for _ in range(7)))
-        assert theorem1_exact(pat).value == brute_force_max(pat)[0]
+        patterns.append(StarPattern(f, tuple(rng.randint(0, (1 << f) - 1) for _ in range(7))))
+    # Edge patterns: one user, every set full, every set empty, repeated
+    # sets, and a user (the fourth) whose set contains every other one.
+    patterns += [
+        StarPattern(5, masks)
+        for masks in (
+            [0b10110],
+            [0b11111] * 7,
+            [0] * 7,
+            [0b00111, 0b11100, 0b00111, 0b01110, 0b11100, 0b00111, 0b01110],
+            [0b00011, 0b00110, 0b01100, 0b01111, 0b00101, 0b01001, 0b00001],
+        )
+    ]
+    for pat in patterns:
+        cert = theorem1_exact(pat)
+        assert (cert.value, cert.witness) == brute_force_max(pat)
 
 
 def test_greedy_never_beats_exact_and_prescribed_never_beats_greedy_is_false():
@@ -196,6 +212,33 @@ def test_exact_certifies_the_partition_frontier(q, m, value):
     assert cert.value == value
     replay = eval_ordering(pat, cert.witness)
     assert (replay.value, replay.step_sizes) == (cert.value, cert.step_sizes)
+
+
+def test_exact_search_keeps_one_integer_per_intersection():
+    # partition(4,3) has 30,617 distinct nonempty intersections, counted
+    # here by a closure walk of their own.  The exact search's table keeps
+    # one integer per intersection, so its traced peak stays under 100
+    # bytes for each.
+    pat = to_star_pattern(partition_pda(4, 3))
+    full = (1 << pat.f) - 1
+    lattice, todo = {full}, [full]
+    while todo:
+        inter = todo.pop()
+        for mask in pat.masks:
+            child = inter & mask
+            if child and child not in lattice:
+                lattice.add(child)
+                todo.append(child)
+    assert len(lattice) == 30_617
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        cert = theorem1_exact(pat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.exact and cert.value == 180
+    assert peak <= 100 * len(lattice)
 
 
 # ---------------------------------------------------------------------------
