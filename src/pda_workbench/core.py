@@ -246,7 +246,7 @@ def verify_pda(grid: "PdaGrid | Sequence[Sequence[int]]") -> VerifyResult:
                 )
             )
 
-    # Bucket symbol cells once; C2 and C3 both read the buckets.
+    # Bucket symbol cells once, then check C2 and C3 in one pass over them.
     s = grid.max_symbol()
     buckets: List[List[Tuple[int, int]]] = [[] for _ in range(s + 1)]
     for j, row in enumerate(grid.cells, start=1):
@@ -255,11 +255,9 @@ def verify_pda(grid: "PdaGrid | Sequence[Sequence[int]]") -> VerifyResult:
                 buckets[cell].append((j, k))
 
     for sym in range(1, s + 1):
-        if not buckets[sym]:
-            violations.append(Violation("C2", (), f"symbol {sym} never appears"))
-
-    for sym in range(1, s + 1):
         cells = buckets[sym]
+        if not cells:
+            violations.append(Violation("C2", (), f"symbol {sym} never appears"))
         for a in range(len(cells)):
             j1, k1 = cells[a]
             for b in range(a + 1, len(cells)):

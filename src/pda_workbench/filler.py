@@ -9,7 +9,8 @@ is the strong chromatic index of the bipartite rows–users graph of the
 uncached cells: Yan et al., "Placement delivery array design through
 strong edge coloring of bipartite graphs", IEEE Commun. Lett., 2018.)
 The graph keeps one neighbor bitmask per cell, so a vertex-set test is one
-big-int operation.
+big-int operation, and the cell bitmask of each row and column it is built
+from, on which the symbol-class search branches.
 
 `fill_exact` starts from a first-fit coloring, in two vertex orders
 (row-major and most neighbors first) of which it keeps the better, and
@@ -56,11 +57,13 @@ if TYPE_CHECKING:
 _BOUND_BUDGET = 1_000_000  # the most intersections the ordering lower bound expands
 
 
-class ConflictGraph(namedtuple("ConflictGraph", "vertices adj")):
+class ConflictGraph(namedtuple("ConflictGraph", "vertices adj rows cols")):
     """Non-star cells and the pairs that must not share a symbol."""
 
     # vertices: (row j, user k), row-major
     # adj: neighbor bitmask per vertex (bit u = vertex u)
+    # rows, cols: vertex bitmask of each row and each column that holds a
+    # vertex, in order of its first vertex; their counts bound a symbol class
     __slots__ = ()
 
     @property
@@ -92,7 +95,8 @@ def build_conflict_graph(pattern: StarPattern) -> ConflictGraph:
         via_row[j] |= cols[k]
         via_col[k] |= rows[j]
     adj = tuple((via_row[j] | via_col[k]) & ~(1 << v) for v, (j, k) in enumerate(vertices))
-    return ConflictGraph(vertices=tuple(vertices), adj=adj)
+    return ConflictGraph(vertices=tuple(vertices), adj=adj, rows=tuple(filter(None, rows)),
+                         cols=tuple(sorted(filter(None, cols), key=lambda m: m & -m)))
 
 
 def _grid_from_coloring(
@@ -242,11 +246,6 @@ def _classes_of_size(
     found once.  Returns (classes, nodes used); nodes used > budget means
     the budget ran out first.
     """
-    rows: Dict[int, int] = {}  # cell bitmask per row and per column
-    cols: Dict[int, int] = {}
-    for v, (j, k) in enumerate(graph.vertices):
-        rows[j] = rows.get(j, 0) | 1 << v
-        cols[k] = cols.get(k, 0) | 1 << v
     found: List[int] = []
     nodes = 0
     # (class so far, cells it still wants, candidates compatible with it)
@@ -261,8 +260,8 @@ def _classes_of_size(
         nodes += 1
         if nodes > budget:
             break
-        row_cands = [m & cand for m in rows.values() if m & cand]
-        col_cands = [m & cand for m in cols.values() if m & cand]
+        row_cands = [m & cand for m in graph.rows if m & cand]
+        col_cands = [m & cand for m in graph.cols if m & cand]
         lines = min(row_cands, col_cands, key=len)
         if len(lines) < want:
             continue
@@ -288,8 +287,7 @@ def _symbol_classes(
     ran out first, and the bound is what was proven by then.
     """
     n = graph.n
-    # At most one cell per row and per column.
-    alpha = min(len({j for j, _ in graph.vertices}), len({k for _, k in graph.vertices}))
+    alpha = min(len(graph.rows), len(graph.cols))  # one cell per row and per column
     cap, nodes = (n - 1) // lb, 0
     for size in range(min(alpha, cap + 1), 0, -1):
         cover = size <= cap and n % size == 0 and n // size < colors
@@ -363,11 +361,11 @@ def fill_exact(pattern: StarPattern, budget: int = DEFAULT_COLOR_BUDGET) -> Fill
     graph = build_conflict_graph(pattern)
     # A clique size, so it bounds every coloring (see the module docstring).
     lb = theorem1_exact(pattern, budget=min(budget, _BOUND_BUDGET)).value
-    greedy = _greedy_coloring(graph)
-    top = max(greedy, default=0)
+    coloring = _greedy_coloring(graph)  # the fewest-symbol fill found so far
+    count = max(coloring, default=0)
     remaining, class_size = budget, None  # remaining < 0: the budget ran out
-    if top > lb:
-        alpha, classes, used = _symbol_classes(graph, lb, top, remaining)
+    if count > lb:
+        alpha, classes, used = _symbol_classes(graph, lb, count, remaining)
         remaining -= used
         if -(-graph.n // alpha) > lb:
             lb, class_size = -(-graph.n // alpha), alpha
@@ -375,25 +373,23 @@ def fill_exact(pattern: StarPattern, budget: int = DEFAULT_COLOR_BUDGET) -> Fill
             cover, used = _exact_cover(graph.n, classes, remaining)
             remaining -= used
             if cover is not None:
-                colors = [0] * graph.n
+                coloring, count = [0] * graph.n, lb
                 # Symbols by first appearance in row-major order.
                 for c, cls in enumerate(sorted(cover, key=lambda cls: cls & -cls), 1):
                     for v in _bits(cls):
-                        colors[v] = c
-                grid = _grid_from_coloring(pattern, graph, colors)
-                return FillResult(grid, lb, optimal=True, lower_bound=lb, class_size=class_size)
-            if remaining >= 0:  # no fill has n / alpha symbols
+                        coloring[v] = c
+            elif remaining >= 0:  # no fill has n / alpha symbols
                 lb += 1
-    for k in range(lb, top):
+    for k in range(lb, count):
         if remaining < 0:
             break
-        coloring, used = _saturation_search(graph, k, remaining)
+        found, used = _saturation_search(graph, k, remaining)
         remaining -= used
-        if coloring is not None:
-            grid = _grid_from_coloring(pattern, graph, coloring)
-            return FillResult(grid, k, optimal=True, lower_bound=lb, class_size=class_size)
-    # Unless the budget ran out, every count below the first-fit one was
-    # refuted; a bound that meets it proves it optimal all the same.
-    grid = _grid_from_coloring(pattern, graph, greedy)
-    optimal = remaining >= 0 or lb == top
-    return FillResult(grid, top, optimal=optimal, lower_bound=lb, class_size=class_size)
+        if found is not None:
+            coloring, count = found, k
+            break
+    # Unless the budget ran out, every count below `count` was refuted; a
+    # bound that meets it proves it optimal all the same.
+    grid = _grid_from_coloring(pattern, graph, coloring)
+    optimal = remaining >= 0 or lb == count
+    return FillResult(grid, count, optimal=optimal, lower_bound=lb, class_size=class_size)

@@ -48,7 +48,7 @@ from .core import DEFAULT_PACKET_LEN, STAR, PdaGrid, pda_params
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+    from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
     Cache = Dict[Tuple[int, int], bytes]  # (file n, row j) -> packet
     Term = Tuple[int, int]  # (user k, row j) of one cell
 
@@ -181,8 +181,8 @@ class _Schedule(namedtuple("_Schedule", "symbols repeated rows")):
     """Everything delivery, decoding and a sweep's proof need of one array,
     whatever the demand."""
 
-    # symbols: (id, sorted terms), by id
-    # repeated: the first symbol that repeats a row or column
+    # symbols: (id, sorted terms), by id; one pass over them fills in
+    # repeated: the first symbol that repeats a row or column, and
     # rows[k - 1][j - 1]: None if user k caches row j, else (signal id, the
     # signal's other terms, which user k cancels out of its cache)
     __slots__ = ()
@@ -194,30 +194,20 @@ class _Schedule(namedtuple("_Schedule", "symbols repeated rows")):
 
 def _schedule(grid: PdaGrid) -> _Schedule:
     by_symbol: Dict[int, List[Term]] = {}
-    symbol_at: Dict[Term, int] = {}
     for j, row in enumerate(grid.cells, start=1):
         for k, s in enumerate(row, start=1):
             if s != STAR:
                 by_symbol.setdefault(s, []).append((k, j))
-                symbol_at[(k, j)] = s
     symbols = tuple((s, tuple(sorted(by_symbol[s]))) for s in sorted(by_symbol))
-    terms_of = dict(symbols)
-
-    def repeats(terms: Tuple[Term, ...]) -> bool:
-        users, rows = zip(*terms)
-        return len(set(users)) < len(terms) or len(set(rows)) < len(terms)
-
-    def entry(k: int, j: int) -> Optional[Tuple[int, Tuple[Term, ...]]]:
-        s = symbol_at.get((k, j))
-        return None if s is None else (s, tuple(t for t in terms_of[s] if t != (k, j)))
-
-    return _Schedule(
-        symbols=symbols,
-        repeated=next((s for s, terms in symbols if repeats(terms)), None),
-        rows=tuple(
-            tuple(entry(k, j) for j in range(1, grid.f + 1)) for k in range(1, grid.k + 1)
-        ),
-    )
+    rows: List[list] = [[None] * grid.f for _ in range(grid.k)]  # as _Schedule.rows
+    repeated = None
+    for s, terms in symbols:
+        ks, js = zip(*terms)
+        if repeated is None and len(terms) > min(len(set(ks)), len(set(js))):
+            repeated = s
+        for k, j in terms:
+            rows[k - 1][j - 1] = (s, tuple(t for t in terms if t != (k, j)))
+    return _Schedule(symbols=symbols, repeated=repeated, rows=tuple(map(tuple, rows)))
 
 
 def deliver(grid: PdaGrid, lib: FileLibrary, d: Sequence[int]) -> DeliveryTranscript:
@@ -226,12 +216,11 @@ def deliver(grid: PdaGrid, lib: FileLibrary, d: Sequence[int]) -> DeliveryTransc
     schedule = _schedule(grid)
     schedule.refuse_repeats()
     n = lib.packet_len
-    signals = []
+    signals, decode_log = [], {}
     for s, terms in schedule.symbols:
         payload = _xor_fold((lib.packet(d[k - 1], j) for k, j in terms), n)
         signals.append(Signal(id=s, terms=terms, payload=payload.to_bytes(n, "little")))
-    decode_log = {(k, j): entry[0] for k, rows in enumerate(schedule.rows, start=1)
-                  for j, entry in enumerate(rows, start=1) if entry is not None}
+        decode_log.update(dict.fromkeys(terms, s))
     return DeliveryTranscript(demand=d, signals=tuple(signals), decode_log=decode_log)
 
 

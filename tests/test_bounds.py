@@ -67,6 +67,20 @@ def test_prescribed_ordering_reaches_11():
     assert cert.rate_bound == (11, 4)
 
 
+def test_a_witness_that_replays_to_another_value_raises(monkeypatch):
+    # The exact search replays its witness with eval_ordering and checks the
+    # value against its table; a replay one short must not pass unnoticed.
+    real = bounds.eval_ordering
+
+    def one_short(pattern, order):
+        cert = real(pattern, order)
+        return cert._replace(value=cert.value - 1)
+
+    monkeypatch.setattr(bounds, "eval_ordering", one_short)
+    with pytest.raises(AssertionError, match="^witness replays to 10, the table says 11$"):
+        theorem1_exact(pattern_of("GRID_K6_F4_Z1"))
+
+
 def test_exact_search_finds_11_with_lex_least_witness():
     cert = theorem1_exact(pattern_of("GRID_K6_F4_Z1"))
     assert cert.value == 11

@@ -693,6 +693,30 @@ def test_simulate_demand_json(run):
     assert payload["rate"] == {"num": 2, "den": 3}
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_simulate_reports_a_decode_that_misses_a_cache_entry(run, monkeypatch, fmt):
+    from pda_workbench import cli
+    from pda_workbench.simulate import place
+
+    def drop_one(grid, lib):
+        caches = place(grid, lib)
+        # User 1 decodes row 3 from signal 1 = W[1,3] ^ W[2,2] ^ W[4,1], so it
+        # cancels W[2,2] out of its cache.
+        del caches[0][(2, 2)]
+        return caches
+
+    monkeypatch.setattr(cli, "place", drop_one)
+    code, out, err = run(
+        ["simulate", "--files", "6", "--demand", "1,2,3,4,5,6", "--format", fmt],
+        stdin=grid_text("GRID_K6_F4_Z2"),
+    )
+    assert (code, err) == (EXIT_INVALID, "")
+    if fmt == "json":
+        assert json.loads(out)["ok"] is False
+    else:
+        assert "decode: FAILED (signal 1, user 1, row 3)" in out.splitlines()
+
+
 def test_simulate_full_sweep(run):
     code, out, _ = run(
         ["simulate", "--files", "2", "--sweep"], stdin=format_pda(mn_pda(4, 2))

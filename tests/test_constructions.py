@@ -93,6 +93,12 @@ def test_residue_q():
     assert [residue_q(x, 3) for x in range(7)] == [3, 1, 2, 3, 1, 2, 3]
 
 
+@pytest.mark.parametrize("q", [0, -3])
+def test_residue_q_needs_a_positive_modulus(q):
+    with pytest.raises(ValueError, match=rf"modulus must be positive, got {q}$"):
+        residue_q(5, q)
+
+
 @pytest.mark.parametrize("q,m", [(1, 2), (0, 1), (2, 0), (2, 13), (5, 6)])
 def test_partition_rejects_bad_or_oversized_shapes(q, m):
     with pytest.raises(ValueError):

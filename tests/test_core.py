@@ -262,6 +262,12 @@ def test_from_sets_rejects_out_of_range_rows():
         StarPattern(2, ())
 
 
+@pytest.mark.parametrize("f", [0, -1])
+def test_star_pattern_needs_a_row(f):
+    with pytest.raises(ValueError, match=rf"need F >= 1, got {f}$"):
+        StarPattern(f, (0,))
+
+
 # ---------------------------------------------------------------------------
 # text formats
 # ---------------------------------------------------------------------------
