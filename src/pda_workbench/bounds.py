@@ -246,22 +246,16 @@ def theorem1_exact(
     target = done[full]
 
     inter = full
-    k = pattern.k
-    used = [False] * (k + 1)  # used[u]: user u is in the witness
-    low = 1  # every user below it is in the witness
+    unused = list(range(1, pattern.k + 1))
     witness: List[int] = []
     remaining = target
-    while len(witness) < k:
-        while used[low]:
-            low += 1
-        for u in range(low, k + 1):
-            if used[u]:
-                continue
+    while unused:
+        for u in unused:
             child = inter & masks[u - 1]
             size = child.bit_count()
             if done[child] - len(witness) * size == remaining:
                 break
-        used[u] = True
+        unused.remove(u)
         witness.append(u)
         remaining -= size
         inter = child

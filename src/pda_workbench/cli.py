@@ -380,9 +380,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             outcome = decode(grid, transcript, caches, lib)
             ok = outcome.ok
             failure = None
-        except DecodeError as e:
+        except DecodeError as e:  # signal None: the user's own cached row is missing
             ok = False
-            failure = f"signal {e.signal}, user {e.user}, row {e.row}"
+            failure = f"user {e.user}, row {e.row}"
+            if e.signal is not None:
+                failure = f"signal {e.signal}, {failure}"
         if args.transcript:
             _write_json(args.transcript, "simulate", **transcript.as_dict())
         if args.format == "json":

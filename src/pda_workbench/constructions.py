@@ -21,7 +21,7 @@ to replay.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 from .core import MAX_ROWS, STAR, PdaGrid, PdaParams
@@ -88,16 +88,9 @@ def residue_q(x: int, q: int) -> int:
 
 def partition_rows(q: int, m: int) -> List[Tuple[int, ...]]:
     """All (m+1)-vectors (f_1..f_m, <sum f_i>_q), first coordinate fastest."""
-    rows = []
-    for idx in range(q ** m):
-        f = []
-        rest = idx
-        for _ in range(m):
-            f.append(rest % q + 1)
-            rest //= q
-        f.append(residue_q(sum(f), q))
-        rows.append(tuple(f))
-    return rows
+    # product runs its last coordinate fastest, so each tuple is reversed.
+    flipped = (f[::-1] for f in product(range(1, q + 1), repeat=m))
+    return [f + (residue_q(sum(f), q),) for f in flipped]
 
 
 def partition_columns(q: int, m: int) -> List[Tuple[int, int]]:

@@ -35,6 +35,7 @@ the 1-tuple `(cells,)`).  Their checks and normalisation run in
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import combinations
 from math import gcd
 
 TYPE_CHECKING = False
@@ -154,19 +155,6 @@ class StarPattern(namedtuple("StarPattern", "f masks")):
                 raise ValueError(f"user {k} mask {m:#x} out of range for F={f}")
         return super().__new__(cls, f, masks)
 
-    @classmethod
-    def from_sets(cls, f: int, sets: Iterable[Iterable[int]]) -> "StarPattern":
-        """Build from 1-based row sets (the A_k)."""
-        masks = []
-        for rows in sets:
-            m = 0
-            for j in rows:
-                if not 1 <= j <= f:
-                    raise ValueError(f"row {j} out of range [1,{f}]")
-                m |= 1 << (j - 1)
-            masks.append(m)
-        return cls(f, tuple(masks))
-
     @property
     def k(self) -> int:
         return len(self.masks)
@@ -258,29 +246,26 @@ def verify_pda(grid: "PdaGrid | Sequence[Sequence[int]]") -> VerifyResult:
         cells = buckets[sym]
         if not cells:
             violations.append(Violation("C2", (), f"symbol {sym} never appears"))
-        for a in range(len(cells)):
-            j1, k1 = cells[a]
-            for b in range(a + 1, len(cells)):
-                j2, k2 = cells[b]
-                if j1 == j2 or k1 == k2:
-                    violations.append(
-                        Violation(
-                            "C3a",
-                            ((j1, k1), (j2, k2)),
-                            f"symbol {sym} repeats in the same "
-                            + ("row" if j1 == j2 else "column"),
-                        )
+        for (j1, k1), (j2, k2) in combinations(cells, 2):
+            if j1 == j2 or k1 == k2:
+                violations.append(
+                    Violation(
+                        "C3a",
+                        ((j1, k1), (j2, k2)),
+                        f"symbol {sym} repeats in the same "
+                        + ("row" if j1 == j2 else "column"),
                     )
-                    continue
-                if grid.cells[j1 - 1][k2 - 1] != STAR or grid.cells[j2 - 1][k1 - 1] != STAR:
-                    violations.append(
-                        Violation(
-                            "C3b",
-                            ((j1, k1), (j2, k2)),
-                            f"symbol {sym} at ({j1},{k1}) and ({j2},{k2}) "
-                            f"has a non-star cross cell",
-                        )
+                )
+                continue
+            if grid.cells[j1 - 1][k2 - 1] != STAR or grid.cells[j2 - 1][k1 - 1] != STAR:
+                violations.append(
+                    Violation(
+                        "C3b",
+                        ((j1, k1), (j2, k2)),
+                        f"symbol {sym} at ({j1},{k1}) and ({j2},{k2}) "
+                        f"has a non-star cross cell",
                     )
+                )
 
     violations.sort(key=lambda v: (v.axiom, v.cells, v.detail))
     return VerifyResult(valid=not violations, violations=tuple(violations))

@@ -48,7 +48,7 @@ from .core import DEFAULT_PACKET_LEN, STAR, PdaGrid, pda_params
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+    from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
     Cache = Dict[Tuple[int, int], bytes]  # (file n, row j) -> packet
     Term = Tuple[int, int]  # (user k, row j) of one cell
 
@@ -57,16 +57,20 @@ _MAX_LIBRARY_BYTES = 1 << 31  # N*F packets, each with its bytes header and a tu
 
 
 class DecodeError(Exception):
-    """A cancellation term was not in the decoding user's cache."""
+    """A packet was not in the decoding user's cache: a cancellation term of
+    a signal, or (signal None) the user's own cached row."""
 
-    def __init__(self, signal: int, user: int, row: int):
+    def __init__(self, signal: Optional[int], user: int, row: int):
         self.signal = signal
         self.user = user
         self.row = row
-        super().__init__(
-            f"user {user} cannot decode row {row} from signal {signal}: "
-            "a cancellation term is not cached"
-        )
+        if signal is None:
+            super().__init__(f"user {user} cannot read row {row}: it is not cached")
+        else:
+            super().__init__(
+                f"user {user} cannot decode row {row} from signal {signal}: "
+                "a cancellation term is not cached"
+            )
 
 
 def _xor_fold(packets: Iterable[bytes], length: int) -> int:
@@ -241,8 +245,9 @@ def decode(
     transcript, XORs the other terms' packets out of its cache, and keeps
     the remainder.  A missing cancellation packet raises DecodeError naming
     the (signal, user, row) — that means the array never satisfied the
-    axioms.  The ok flag compares every reassembled file byte-for-byte
-    against the library.  The demand is the transcript's own.
+    axioms — and a missing cached row raises it with no signal.  The ok
+    flag compares every reassembled file byte-for-byte against the
+    library.  The demand is the transcript's own.
     """
     d = _check_demand(grid, lib, transcript.demand)
     n = lib.packet_len
@@ -254,6 +259,8 @@ def decode(
         parts: List[bytes] = []
         for j, entry in enumerate(rows, start=1):
             if entry is None:
+                if (want, j) not in cache:
+                    raise DecodeError(signal=None, user=k, row=j)
                 parts.append(cache[(want, j)])
                 continue
             sid, others = entry
@@ -340,7 +347,7 @@ def run_sweep(
             transcript = deliver(grid, lib, d)
             try:
                 ok = has_s_symbols and decode(grid, transcript, caches, lib).ok
-            except (DecodeError, KeyError, ValueError):  # a missing or wrong-length entry
+            except (DecodeError, ValueError):  # a missing or wrong-length entry
                 ok = False
             if not ok:
                 first_failure = d

@@ -717,6 +717,30 @@ def test_simulate_reports_a_decode_that_misses_a_cache_entry(run, monkeypatch, f
         assert "decode: FAILED (signal 1, user 1, row 3)" in out.splitlines()
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_simulate_reports_a_decode_that_misses_a_cached_row(run, monkeypatch, fmt):
+    from pda_workbench import cli
+    from pda_workbench.simulate import place
+
+    def drop_one(grid, lib):
+        caches = place(grid, lib)
+        # User 1 wants file 1 and caches row 1, so it reads W[1,1] from its
+        # cache rather than from a signal.
+        del caches[0][(1, 1)]
+        return caches
+
+    monkeypatch.setattr(cli, "place", drop_one)
+    code, out, err = run(
+        ["simulate", "--files", "4", "--demand", "1,2,3,4", "--format", fmt],
+        stdin=format_pda(mn_pda(4, 2)),
+    )
+    assert (code, err) == (EXIT_INVALID, "")
+    if fmt == "json":
+        assert json.loads(out)["ok"] is False
+    else:
+        assert "decode: FAILED (user 1, row 1)" in out.splitlines()
+
+
 def test_simulate_full_sweep(run):
     code, out, _ = run(
         ["simulate", "--files", "2", "--sweep"], stdin=format_pda(mn_pda(4, 2))

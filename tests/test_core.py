@@ -244,18 +244,15 @@ def test_star_pattern_round_trip():
     assert pat.uncached_sets() == [(4, 5, 6), (2, 3, 6), (1, 3, 5), (1, 2, 4)]
     assert pat.sizes() == (3, 3, 3, 3)
     assert pat.uniform_z() == 3
-    assert StarPattern.from_sets(6, pat.uncached_sets()) == pat
 
 
 def test_uniform_z_none_when_sizes_differ():
-    pat = StarPattern.from_sets(3, [(1,), (1, 2)])
+    pat = StarPattern(3, (0b001, 0b011))
     assert pat.uniform_z() is None
     assert pat.sizes() == (1, 2)
 
 
-def test_from_sets_rejects_out_of_range_rows():
-    with pytest.raises(ValueError, match=r"row 4 out of range"):
-        StarPattern.from_sets(3, [(4,)])
+def test_star_pattern_rejects_bad_masks():
     with pytest.raises(ValueError, match="mask"):
         StarPattern(2, (1 << 2,))
     with pytest.raises(ValueError, match="at least one user"):
@@ -290,7 +287,7 @@ def test_placement_text_round_trip():
         text = format_placement(pat)
         assert parse_placement(text) == pat, name
         # spot-check the surface form once
-    assert format_placement(StarPattern.from_sets(2, [(1,), (2,)])) == (
+    assert format_placement(StarPattern(2, (0b01, 0b10))) == (
         "PLC 2 2\n. *\n* .\n"
     )
 

@@ -312,7 +312,7 @@ def test_exact_fill_on_fully_cached_pattern():
 def test_exact_fill_on_disjoint_uncached_rows_needs_one_symbol():
     # Users missing disjoint rows never collide: one shared symbol serves
     # everyone.
-    pattern = StarPattern.from_sets(2, [(1,), (2,)])
+    pattern = StarPattern(2, (0b01, 0b10))
     result = fill_exact(pattern)
     assert result.colors == 1
     assert result.optimal

@@ -532,7 +532,7 @@ def per_demand_sweep(grid, lib, demands):
     return checked, first_failure is None, first_failure, stats
 
 
-def block_sweep(grid, lib, demands):
+def schedule_sweep(grid, lib, demands):
     """run_sweep's outcome in per_demand_sweep's form."""
     try:
         res = run_sweep(grid, lib, demands)
@@ -572,10 +572,10 @@ SWEEP_GRIDS = DIFFERENTIAL_GRIDS + [partition_pda(3, 3)] + [
 ] + column_swaps(12, seed=7)
 
 
-EIGHT_PER_BLOCK = 4096  # a long packet length, as well as a short one
+LONG_PACKET = 4096  # a long packet length, as well as a short one
 
 
-@pytest.mark.parametrize("packet_len", [5, EIGHT_PER_BLOCK])  # short and long packets
+@pytest.mark.parametrize("packet_len", [5, LONG_PACKET])  # short and long packets
 @pytest.mark.parametrize("grid", SWEEP_GRIDS, ids=lambda g: f"K{g.k}-F{g.f}")
 def test_block_sweep_matches_a_per_demand_sweep(grid, packet_len):
     lib = FileLibrary.generate(3, grid.f, packet_len=packet_len, seed=grid.k + grid.f)
@@ -585,7 +585,7 @@ def test_block_sweep_matches_a_per_demand_sweep(grid, packet_len):
         demands = list(sample_demands(3, grid.k, 100, seed=grid.f))
     demands *= -(-24 // len(demands))  # at least 24 demands, repeats included
     expected = per_demand_sweep(grid, lib, demands)
-    assert block_sweep(grid, lib, iter(demands)) == expected
+    assert schedule_sweep(grid, lib, iter(demands)) == expected
 
 
 def random_array(rng):
@@ -637,7 +637,7 @@ def test_a_sweep_passes_exactly_the_valid_arrays():
     assert min(outcomes.values()) > 600, outcomes
 
 
-def test_block_sweep_raises_as_the_per_demand_sweep_does():
+def test_schedule_sweep_raises_as_the_per_demand_sweep_does():
     grid = mn_pda(4, 2)
     lib = FileLibrary.generate(2, 6, packet_len=8, seed=3)
     short = FileLibrary(n=2, f=6, packet_len=8, packets=(lib.packets[0][:5] + (bytes(7),),
@@ -655,10 +655,10 @@ def test_block_sweep_raises_as_the_per_demand_sweep_does():
         (repeated, short_w11, [(1, 1, 1), (1, 2, 1)], "symbol 1 repeats a row or column"),
     ]:
         expected = per_demand_sweep(g, library, demands)
-        assert block_sweep(g, library, demands) == expected
+        assert schedule_sweep(g, library, demands) == expected
         assert message in expected[1]
-    assert block_sweep(grid, lib, []) == (0, True, None, {"demands": 0, "signals": 0,
-                                                          "xor_terms": 0})
+    assert schedule_sweep(grid, lib, []) == (0, True, None, {"demands": 0, "signals": 0,
+                                                             "xor_terms": 0})
 
 
 def test_a_sweep_refuses_a_short_packet_that_its_first_demand_never_reads():
@@ -671,7 +671,7 @@ def test_a_sweep_refuses_a_short_packet_that_its_first_demand_never_reads():
     deliver(grid, short, demands[0])  # the first demand reads no packet of file 2
     with pytest.raises(ValueError, match="cannot XOR 7 bytes with 8 bytes"):
         run_sweep(grid, short, demands)
-    assert block_sweep(grid, short, demands) == per_demand_sweep(grid, short, demands)
+    assert schedule_sweep(grid, short, demands) == per_demand_sweep(grid, short, demands)
 
 
 def test_a_sweep_holds_no_second_copy_of_the_library():
@@ -719,13 +719,13 @@ def test_block_sweep_reads_each_users_own_cache(monkeypatch, change, failing):
         return caches
 
     monkeypatch.setattr(simulate, "place", place)
-    lib = FileLibrary.generate(3, 6, packet_len=EIGHT_PER_BLOCK, seed=5)
+    lib = FileLibrary.generate(3, 6, packet_len=LONG_PACKET, seed=5)
     w3 = lib.packets[2]  # W[3, 3] all zeros: a missing entry must not pass as one
-    lib = lib._replace(packets=lib.packets[:2] + (w3[:2] + (bytes(EIGHT_PER_BLOCK),) + w3[3:],))
+    lib = lib._replace(packets=lib.packets[:2] + (w3[:2] + (bytes(LONG_PACKET),) + w3[3:],))
     demands = list(all_demands(2, 4)) + [(2, 1, 2, 1)] * 8
     demands[19:19] = [failing, (3, 3, 3, 3)]  # demand 20, after 19 that pass
     expected = per_demand_sweep(grid, lib, demands)
-    assert block_sweep(grid, lib, demands) == expected
+    assert schedule_sweep(grid, lib, demands) == expected
     assert expected[2] == (None if change is copy_entries else failing)
 
 
