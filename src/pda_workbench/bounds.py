@@ -246,16 +246,19 @@ def theorem1_exact(
     target = done[full]
 
     inter = full
-    unused = list(range(1, pattern.k + 1))
+    # Descending, scanned from the end: the smallest user comes first, and
+    # deleting the one found shifts only the users scanned before it.
+    unused = list(range(pattern.k, 0, -1))
     witness: List[int] = []
     remaining = target
     while unused:
-        for u in unused:
+        for i in reversed(range(len(unused))):
+            u = unused[i]
             child = inter & masks[u - 1]
             size = child.bit_count()
             if done[child] - len(witness) * size == remaining:
                 break
-        unused.remove(u)
+        del unused[i]
         witness.append(u)
         remaining -= size
         inter = child

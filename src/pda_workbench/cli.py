@@ -14,11 +14,14 @@ Conventions shared by every subcommand:
   its answer; main() is the one place that maps exceptions to these
   codes, so no input ends in a traceback;
 * --seed controls every pseudorandom payload.
+
+A well-formed command line is read by `_fast_parse` from the subcommand's
+own argument declarations; argparse is imported only to print help or a
+usage error, and for the line shapes that only it reads.
 """
 
 from __future__ import annotations
 
-import argparse
 import io
 import os
 import sys
@@ -43,6 +46,7 @@ from .core import (
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
+    import argparse
     from typing import Callable, Optional, Sequence, Tuple
 
     from .bounds import SearchReport
@@ -591,13 +595,101 @@ _COMMANDS = {
 }
 
 
+class _Declared:
+    """A subcommand's arguments, recorded from its `add_argument` calls.
+
+    An argument adder runs against this in place of an argparse parser, so
+    that flags, types, defaults, choices and required flags are declared
+    in one place for both readers of a command line.  An argument is
+    (dest, takes no value, type, choices, required).
+    """
+
+    def __init__(self) -> None:
+        self.options: dict = {}  # each option string -> its argument
+        self.positionals: list = []
+        self.defaults: dict = {}  # dest -> default
+
+    def add_argument(self, *names, action=None, nargs=None, default=None, type=None,
+                     choices=None, required=False, help=None) -> None:
+        dest = next((n for n in names if n.startswith("--")), names[0])
+        dest = dest.lstrip("-").replace("-", "_")
+        switch = action == "store_true"
+        self.defaults[dest] = False if switch else default
+        if names[0].startswith("-"):
+            self.options.update(dict.fromkeys(names, (dest, switch, type, choices, required)))
+        else:
+            self.positionals.append((dest, False, type, choices, nargs != "?"))
+
+
+class _Namespace:  # argparse.Namespace, without importing argparse
+    def __init__(self, **values) -> None:
+        self.__dict__.update(values)
+
+
+def _is_argument(token: str) -> bool:
+    """Whether argparse reads `token` as a value rather than an option: "-",
+    a token not starting with "-", or a negative decimal integer."""
+    return token == "-" or not token.startswith("-") or token[1:].isdecimal()
+
+
+def _fast_parse(argv: Sequence[str]) -> Optional[_Namespace]:
+    """The namespace argparse would give `argv`, or None.
+
+    Reads a strict subset of the lines argparse accepts: the subcommand
+    first, then each declared option at most once, spelt as declared, with
+    its value, if it takes one, in the next token, and the positionals.
+    Any other line (help, `--opt=value`, `-oVALUE`, `--`, a repeated
+    option, an unknown dash token, a bad value or choice, a missing
+    required argument, an extra positional) gives None and is left to
+    argparse, which alone prints help and usage errors.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    command, tokens = argv[0], iter(argv[1:])
+    declared = _Declared()
+    _COMMANDS[command][1](declared)
+    positionals = iter(declared.positionals)
+    values: dict = {}
+    for token in tokens:
+        argument = declared.options.get(token)
+        if argument is None:
+            argument, value = next(positionals, None), token
+        else:
+            value = True if argument[1] else next(tokens, None)
+        if argument is None or value is None:
+            return None
+        dest, switch, convert, choices, _ = argument
+        if dest in values:
+            return None
+        if not switch:
+            if not _is_argument(value):
+                return None
+            if convert is not None:
+                try:
+                    value = convert(value)
+                except ValueError:
+                    return None
+            if choices is not None and value not in choices:
+                return None
+        values[dest] = value
+    arguments = [*declared.options.values(), *declared.positionals]
+    if any(required and dest not in values for dest, _, _, _, required in arguments):
+        return None
+    values.update(command=command, handler=_COMMANDS[command][2])
+    return _Namespace(**{**declared.defaults, **values})
+
+
 def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     """The program's parser, with every subcommand and its help line.
 
     Only `command` gets its arguments and handler, or every subcommand when
     `command` is None; a subcommand that a command line never reaches
     needs neither, and building them is a measurable share of start-up.
+    argparse, with the gettext and locale that it loads, is imported here,
+    so that a line that `_fast_parse` reads loads none of them.
     """
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="pda-workbench",
         description="Construct, verify, bound, fill and simulate placement delivery arrays.",
@@ -614,12 +706,15 @@ def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # argparse hands the rest of the line to the subcommand named by the
-    # first positional token.  The program takes no option with a value, so
-    # whenever that token is a subcommand it is the first token naming one;
-    # otherwise parsing fails before any subcommand's arguments are read.
-    command = next((token for token in argv if token in _COMMANDS), "")
-    args = _build_parser(command).parse_args(argv)
+    args = _fast_parse(argv)
+    if args is None:
+        # argparse hands the rest of the line to the subcommand named by the
+        # first positional token.  The program takes no option with a
+        # value, so whenever that token is a subcommand it is the first
+        # token naming one; otherwise parsing fails before any subcommand's
+        # arguments are read.
+        command = next((token for token in argv if token in _COMMANDS), "")
+        args = _build_parser(command).parse_args(argv)
     try:
         code = args.handler(args)
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit

@@ -3,6 +3,7 @@ the running-union identity, and the min-max placement search."""
 
 import itertools
 import random
+import time
 import tracemalloc
 from math import comb
 
@@ -87,6 +88,17 @@ def test_exact_search_finds_11_with_lex_least_witness():
     assert cert.witness == (1, 5, 2, 6, 3, 4)
     assert cert.step_sizes == (3, 3, 2, 2, 1, 0)
     assert cert.method == "exact" and cert.exact
+
+
+def test_a_long_witness_is_rebuilt_in_linear_time():
+    # Every user fits every step, so the rebuild places the smallest unused
+    # user K times; a removal that shifts the unplaced users makes this
+    # quadratic (over 9 s at K = 300,000).
+    start = time.perf_counter()
+    cert = theorem1_exact(StarPattern(1, [1] * 300_000))
+    assert time.perf_counter() - start < 3.0
+    assert cert.value == 300_000 and cert.exact
+    assert cert.witness == tuple(range(1, 300_001))
 
 
 def test_greedy_reaches_11_here():

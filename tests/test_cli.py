@@ -8,6 +8,8 @@ import itertools
 import json
 import os
 import random
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -19,6 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import SIGNAL_TERMS_K6_F4_Z2, golden_grid, replayed_ordering_value
+from test_readme import console_blocks
 from pda_workbench.cli import (
     _FAMILIES,
     EXIT_BUDGET,
@@ -26,6 +29,7 @@ from pda_workbench.cli import (
     EXIT_OK,
     EXIT_USAGE,
     _build_parser,
+    _fast_parse,
     main,
 )
 from pda_workbench.constructions import bipartite_pda, mn_pda, partition_pda
@@ -40,6 +44,7 @@ from pda_workbench.core import (
     verify_pda,
 )
 
+TESTS = os.path.dirname(os.path.abspath(__file__))
 CROSS_CELL_BAD = "PDA 2 2\n1 2\n2 1\n"  # C3b fails at both symbol pairs
 
 
@@ -1251,6 +1256,13 @@ FUZZ_COMMANDS = {
 }
 
 
+# Line shapes that only argparse reads.  A value may be spelt as an option
+# (-h would print help anywhere else, and -ox write ./x), a token may be
+# spliced in after the subcommand, or a flag given twice.
+VALUE_SHAPES = st.sampled_from(["-h", "-ox", "--budget=3"])
+LINE_SHAPES = st.sampled_from(["--", "-x y", "--budget=3"])
+
+
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(st.data())
 def test_fuzzed_command_lines_end_in_a_documented_exit_code(data):
@@ -1260,6 +1272,13 @@ def test_fuzzed_command_lines_end_in_a_documented_exit_code(data):
     chosen = data.draw(st.lists(st.sampled_from(sorted(flags)), unique=True)) if flags else []
     for flag in chosen:
         argv += [flag, data.draw(flags[flag])]
+    shape = data.draw(st.sampled_from(["", "value", "line", "repeat"]))
+    if shape == "value" and chosen:
+        argv[-1] = data.draw(VALUE_SHAPES)
+    elif shape == "line":
+        argv.insert(data.draw(st.integers(1, len(argv))), data.draw(LINE_SHAPES))
+    elif shape == "repeat" and chosen:
+        argv += [chosen[0], data.draw(flags[chosen[0]])]
     stdin = io.StringIO(data.draw(st.sampled_from(FUZZ_STDIN)))
     with mock.patch.object(sys, "stdin", stdin), \
             contextlib.redirect_stdout(io.StringIO()), \
@@ -1397,6 +1416,7 @@ def test_no_subcommand_loads_typing_without_site(argv, stdin, _engines):
 
 
 NO_RATE_MODULES = {"fractions", "decimal"}
+PARSER_MODULES = {"argparse", "gettext", "locale"}
 
 
 @pytest.mark.parametrize(
@@ -1440,16 +1460,55 @@ NO_RATE_MODULES = {"fractions", "decimal"}
             {"json"} | NO_RATE_MODULES,
             {"pda_workbench.formulas"},
         ),
+        # A well-formed line of each subcommand is read without argparse.
+        (
+            ["construct", "partition", "--q", "2", "--m", "2", "--output", os.devnull],
+            "",
+            PARSER_MODULES,
+            {"pda_workbench.constructions"},
+        ),
+        (["verify", "-", "--format", "text"], MN_4_2, PARSER_MODULES, {"pda_workbench.core"}),
+        (
+            ["bound", "--method", "exact", "--budget", "1000", "--format", "json"],
+            MN_4_2,
+            PARSER_MODULES,
+            {"json", "pda_workbench.bounds"},
+        ),
+        (
+            ["search", "--k", "3", "--f", "2", "--z", "1", "--budget", "100"],
+            "",
+            PARSER_MODULES,
+            {"pda_workbench.bounds"},
+        ),
+        (
+            ["simulate", "-", "--files", "2", "--sweep", "--seed", "-3", "--packet-len", "8"],
+            MN_4_2,
+            PARSER_MODULES,
+            {"pda_workbench.simulate"},
+        ),
+        (["fill", "--budget", "100", "-o", os.devnull], MN_4_2, PARSER_MODULES,
+         {"pda_workbench.filler"}),
+        (
+            ["table", "--q-list", "2", "--m-max", "2", "--exact-cap", "0", "-o", os.devnull],
+            "",
+            PARSER_MODULES,
+            {"pda_workbench.formulas"},
+        ),
     ],
-    ids=["fill", "construct", "verify-json", "bound-json", "search-json", "simulate-json", "table"],
+    ids=[
+        "fill", "construct", "verify-json", "bound-json", "search-json", "simulate-json", "table",
+        "construct-fast", "verify-fast", "bound-fast", "search-fast", "simulate-fast",
+        "fill-fast", "table-fast",
+    ],
 )
 def test_a_subcommand_loads_json_and_fractions_only_when_it_uses_them(
     argv, stdin, absent, present
 ):
     # json is loaded only where JSON is written.  No subcommand loads
     # fractions (which brings in decimal and numbers): rates and ratios are
-    # `core.ratio` pairs of ints.  The snapshot keeps the test true where
-    # site loads any of these first.
+    # `core.ratio` pairs of ints.  A well-formed line loads no argparse (nor
+    # its gettext and locale).  The snapshot keeps the test true where site
+    # loads any of these first.
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys; before = set(sys.modules); from pda_workbench.cli import main;"
@@ -1463,6 +1522,26 @@ def test_a_subcommand_loads_json_and_fractions_only_when_it_uses_them(
     loaded = set(proc.stderr.splitlines()[-1].split())
     assert present <= loaded
     assert not loaded & absent
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["construct", "--help"], EXIT_OK), (["construct", "mn", "--k", "x"], EXIT_USAGE)],
+    ids=["help", "usage-error"],
+)
+def test_help_and_usage_errors_load_argparse(argv, code):
+    # The control for the rows above: argparse alone prints help and usage
+    # errors, and the snapshot sees it load.
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; before = set(sys.modules); from pda_workbench.cli import main\n"
+         "try:\n    main(sys.argv[1:])\n"
+         "finally:\n    print(' '.join(sorted(set(sys.modules) - before)), file=sys.stderr)",
+         *argv],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert "argparse" in proc.stderr.splitlines()[-1].split()
 
 
 def parse_outcome(parse, argv):
@@ -1512,6 +1591,218 @@ def test_a_parser_built_for_one_subcommand_answers_as_the_full_one(command):
 def test_main_builds_the_subcommand_that_argparse_reaches(argv):
     # A subcommand's name need not be the first token of the line.
     assert parse_outcome(main, argv) == parse_outcome(_build_parser().parse_args, argv)
+
+
+# ------------------------------------------------------------ fast parse
+
+# Tokens that argparse alone reads: help, an option with its value attached,
+# `--`, dash tokens that no subcommand declares (one holding a space, a
+# non-integer negative number, a superscript digit), a bare "-" (a value),
+# an extra positional and a subcommand name after the first.
+HAND_OFFS = [
+    "-h", "--help", "--budget=3", "--format=json", "-ox", "-o-", "--", "-x y",
+    "-5.5", "-\u00b2", "--bogus", "-", "extra", "verify",
+]
+# Each pool's first two values are well formed.  "-\u0663" is a negative
+# decimal integer in Arabic-Indic digits, which int() and argparse accept.
+INT_TOKENS = ["3", "-2", "0", "12", "-\u0663", "+4", "1_0", " 5", "x", "", "2.5", "\u00b2"]
+PATH_TOKENS = ["out.txt", "-", "", "x y"]
+FORMAT_TOKENS = ["json", "text", "xml", "JSON"]
+
+# subcommand -> (its positional's values, or None, whether the positional is
+# required, {option string: its values, or None for a switch}, the required
+# option strings)
+DIFF_COMMANDS = {
+    "construct": (
+        ["partition", "mn", "bipartite", "grouping", "hexagon"], True,
+        {**{f"--{n}": INT_TOKENS for n in "qmabkth"}, "-o": PATH_TOKENS, "--output": PATH_TOKENS},
+        (),
+    ),
+    "verify": (PATH_TOKENS, False, {"--format": FORMAT_TOKENS}, ()),
+    "bound": (
+        PATH_TOKENS, False,
+        {
+            "--method": ["exact", "ordered:partition", "ordered:bipartite", "greedy"],
+            "--budget": INT_TOKENS, "--format": FORMAT_TOKENS,
+            **{f"--{n}": INT_TOKENS for n in "qmab"},
+        },
+        (),
+    ),
+    "search": (
+        None, False,
+        {
+            "--k": INT_TOKENS, "--f": INT_TOKENS, "--z": INT_TOKENS, "--budget": INT_TOKENS,
+            "-o": PATH_TOKENS, "--witness": PATH_TOKENS, "--format": FORMAT_TOKENS,
+        },
+        ("--k", "--f", "--z"),
+    ),
+    "simulate": (
+        PATH_TOKENS, False,
+        {
+            "--files": INT_TOKENS, "--demand": ["1,2", "x", "1", "-1"], "--sweep": None,
+            "--sample": INT_TOKENS, "--seed": INT_TOKENS, "--packet-len": INT_TOKENS,
+            "--transcript": PATH_TOKENS, "--format": FORMAT_TOKENS,
+        },
+        ("--files",),
+    ),
+    "fill": (PATH_TOKENS, False, {"--budget": INT_TOKENS, "-o": PATH_TOKENS,
+                                  "--output": PATH_TOKENS}, ()),
+    "table": (
+        None, False,
+        {
+            "--q-list": ["2,3", "5", "", "two"], "--m-max": INT_TOKENS,
+            "--exact-cap": INT_TOKENS, "-o": PATH_TOKENS, "--output": PATH_TOKENS,
+        },
+        (),
+    ),
+}
+
+
+def drawn_command_line(rng):
+    """A random line: a well-formed core of the subcommand's arguments in a
+    random order, with values sometimes drawn from every pool, the hand-offs
+    and the subcommand's own option strings, then up to two edits."""
+    command = rng.choice(sorted(DIFF_COMMANDS))
+    values, required_positional, options, required = DIFF_COMMANDS[command]
+
+    def value(pool):
+        if rng.random() < 0.75:
+            return rng.choice(pool[:2])
+        return rng.choice(pool + HAND_OFFS + list(options))
+
+    pieces = [
+        [flag] + ([] if pool is None else [value(pool)])
+        for flag, pool in options.items()
+        if flag in required or rng.random() < 0.25
+    ]
+    if values is not None and (required_positional or rng.random() < 0.5):
+        pieces.append([value(values)])
+    rng.shuffle(pieces)
+    for _ in range(rng.choice([0, 0, 1, 1, 2])):
+        edit = rng.choice(["insert", "repeat", "drop", "delete"])
+        if edit == "repeat" and pieces:
+            again = rng.choice(pieces)[:]
+            if len(again) == 2:  # an option and its value: draw a new value
+                again[1] = value(options[again[0]])
+            pieces.insert(rng.randint(0, len(pieces)), again)
+        elif edit == "drop" and pieces:
+            pieces.pop(rng.randrange(len(pieces)))
+        elif edit == "insert":
+            pieces.insert(rng.randint(0, len(pieces)), [rng.choice(HAND_OFFS)])
+        elif pieces:
+            piece = rng.choice(pieces)
+            if len(piece) > 1:
+                piece.pop(rng.randrange(len(piece)))
+    argv = [command] + [token for piece in pieces for token in piece]
+    if rng.random() < 0.02:  # the subcommand not first
+        argv.insert(rng.randint(1, len(argv)), argv.pop(0))
+    return argv
+
+
+def test_the_fast_reader_agrees_with_argparse_wherever_it_reads_a_line():
+    # A line that _fast_parse reads must be one that argparse accepts
+    # without a message, with the same namespace; every other line falls
+    # back to argparse.  A fifth of the lines at least take the fast path.
+    rng = random.Random(35)
+    parser = _build_parser()
+    fast = 0
+    for _ in range(6000):
+        argv = drawn_command_line(rng)
+        args = _fast_parse(argv)
+        if args is None:
+            continue
+        fast += 1
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                expected = parser.parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"argparse refuses a line the fast reader took: {argv}")
+        assert vars(args) == vars(expected), argv
+    assert fast >= 6000 // 5, fast
+
+
+def test_the_fast_reader_hands_each_line_shape_to_argparse():
+    base = ["search", "--k", "3", "--f", "2", "--z", "1"]
+    assert vars(_fast_parse(base)) == vars(_build_parser().parse_args(base))
+    for argv in [
+        [],
+        ["--help"],
+        base + ["-h"],
+        base + ["--budget=3"],
+        base + ["-ox"],
+        base + ["--"],
+        base + ["-x y"],
+        base + ["-5.5"],
+        base + ["--k", "4"],
+        ["--k", "3", "search", "--f", "2", "--z", "1"],
+        base[:-2],
+        base + ["extra"],
+        base + ["--budget"],
+        base + ["--budget", "-\u00b2"],
+        base + ["--format", "xml"],
+        ["simulate", "--files", "3", "--demand", "--sweep"],
+        ["simulate", "--files", "3", "--demand", "-\u00b2"],
+        ["simulate", "--files", "3", "--sweep", "--sweep"],
+        ["construct", "--q", "3", "--m", "3"],
+        ["construct", "mn", "-o", "a", "--output", "b"],
+    ]:
+        assert _fast_parse(argv) is None, argv
+
+
+def workload_steps(tmp_path, monkeypatch):
+    """Every step of the benchmark's three workloads at seed 1."""
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(TESTS), "bench"))
+    import workloads
+
+    return [
+        step
+        for workload in workloads.WORKLOADS
+        for job in workloads.build(workload, 1, str(tmp_path))
+        for step in job.steps
+    ]
+
+
+def readme_command_lines():
+    """The argument list of each pda-workbench stage on README.md's $ lines."""
+    stages = []
+    for block in console_blocks():
+        for command, _ in block:
+            stages.append([])
+            for token in shlex.split(command):
+                if token == "|":
+                    stages.append([])
+                elif token != "2>/dev/null":
+                    stages[-1].append(token)
+    assert all(stage[0] == "pda-workbench" for stage in stages)
+    return [stage[1:] for stage in stages]
+
+
+def ci_command_lines():
+    """The argument list of each pda-workbench call in CI's run steps:
+    continued lines joined, shell variables read as 1, redirections and
+    comments dropped."""
+    with open(os.path.join(os.path.dirname(TESTS), ".github", "workflows", "ci.yml")) as fh:
+        text = re.sub(r"\\\n\s*", " ", fh.read())
+    lines = []
+    for line in text.splitlines():
+        if line.lstrip().startswith("#"):
+            continue
+        for call in re.findall(r"pda-workbench ([^|;)]*)", line):
+            tokens = shlex.split(re.sub(r"\$\w+", "1", call))
+            lines.append([token for token in tokens if not re.match(r"\d?>", token)])
+    return lines
+
+
+def test_the_documented_and_benchmarked_lines_take_the_fast_path(tmp_path, monkeypatch):
+    steps = workload_steps(tmp_path, monkeypatch)
+    readme = readme_command_lines()
+    ci = [argv for argv in ci_command_lines() if "--help" not in argv]
+    assert len(steps) >= 30 and len(readme) >= 12 and len(ci) >= 25
+    parser = _build_parser()
+    for argv in steps + readme + ci:
+        args = _fast_parse(argv)
+        assert args is not None, argv
+        assert vars(args) == vars(parser.parse_args(argv)), argv
 
 
 # Every name that the benchmark's per-layer trace patches, per module of the
@@ -1624,9 +1915,10 @@ def test_a_wrapper_on_the_cli_sees_each_engine_call_once(warm):
 # The modules that src/pda_workbench/*.py import at module level (not inside
 # a function), as `import x` names x and `from x import y` names x.  Every
 # CLI process pays for these, so a new one must show up here as a deliberate
-# change; an import inside the one command that needs it stays free.
+# change, and one that no module imports any more must leave; an import
+# inside the one command that needs it stays free.
 MODULE_LEVEL_IMPORTS = {
-    "__future__", "argparse", "collections", "functools", "io",
+    "__future__", "collections", "io",
     "itertools", "math", "os", "random", "sys", "time",
     "pda_workbench.bounds", "pda_workbench.constructions", "pda_workbench.core",
 }
@@ -1672,7 +1964,7 @@ def test_module_level_imports_stay_within_the_known_set():
     for text in package_sources().values():
         found |= module_level_imports(ast.parse(text))
     assert "pda_workbench.core" in found  # the walk sees the package's own imports
-    assert found <= MODULE_LEVEL_IMPORTS, sorted(found - MODULE_LEVEL_IMPORTS)
+    assert found == MODULE_LEVEL_IMPORTS, sorted(found ^ MODULE_LEVEL_IMPORTS)
 
 
 def test_the_import_walk_skips_function_bodies():
