@@ -11,7 +11,9 @@ Import each name from the module that defines it:
 * simulate:      FileLibrary, place/deliver/decode, demand sweeps
 * filler:        conflict-graph coloring (fill_exact); its budget also caps
                  the ordering bound at min(budget, 1e6) intersections
-* cli:           the pda-workbench command
+* cli:           the pda-workbench command; each subcommand's arguments
+                 and handler are in _cmd_<subcommand> (_cmd_construct ...
+                 _cmd_table), imported only to run it
 """
 
 __version__ = "0.1.0"

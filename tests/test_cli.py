@@ -1345,27 +1345,32 @@ MN_4_2 = format_pda(mn_pda(4, 2))
 PARTITION_2_2 = format_pda(partition_pda(2, 2))
 BASE_MODULES = {"pda_workbench.core"}
 
-# One run of each subcommand as (argv, stdin, the engine modules it loads),
-# with the ids below.
+# One run of each subcommand as (argv, stdin, the package modules it loads
+# besides core: its own command module and the engines it runs), with the
+# ids below.
 SUBCOMMAND_RUNS = [
     (["--help"], "", set()),
-    (["construct", "mn", "--k", "4", "--t", "2"], "", {"constructions"}),
-    (["verify"], MN_4_2, set()),
-    (["simulate", "--files", "4", "--sample", "5"], MN_4_2, {"simulate"}),
-    (["bound"], MN_4_2, {"bounds"}),
+    (["construct", "mn", "--k", "4", "--t", "2"], "", {"_cmd_construct", "constructions"}),
+    (["verify"], MN_4_2, {"_cmd_verify"}),
+    (["simulate", "--files", "4", "--sample", "5"], MN_4_2, {"_cmd_simulate", "simulate"}),
+    (["bound"], MN_4_2, {"_cmd_bound", "bounds"}),
     (
         ["bound", "--method", "ordered:partition", "--q", "2", "--m", "2"],
         PARTITION_2_2,
-        {"bounds", "constructions"},
+        {"_cmd_bound", "bounds", "constructions"},
     ),
     (
         ["bound", "--method", "ordered:bipartite", "--m", "4", "--a", "1", "--b", "2"],
         MN_4_2,
-        {"bounds", "constructions"},
+        {"_cmd_bound", "bounds", "constructions"},
     ),
-    (["search", "--k", "3", "--f", "2", "--z", "1"], "", {"bounds"}),
-    (["fill"], MN_4_2, {"bounds", "filler"}),
-    (["table", "--q-list", "2", "--m-max", "2"], "", {"bounds", "formulas", "constructions"}),
+    (["search", "--k", "3", "--f", "2", "--z", "1"], "", {"_cmd_search", "bounds"}),
+    (["fill"], MN_4_2, {"_cmd_fill", "bounds", "filler"}),
+    (
+        ["table", "--q-list", "2", "--m-max", "2"],
+        "",
+        {"_cmd_table", "bounds", "formulas", "constructions"},
+    ),
 ]
 SUBCOMMAND_IDS = [
     "help", "construct", "verify", "simulate", "bound", "bound-ordered",
@@ -1376,7 +1381,9 @@ SUBCOMMAND_IDS = [
 @pytest.mark.parametrize("argv, stdin, engines", SUBCOMMAND_RUNS, ids=SUBCOMMAND_IDS)
 def test_each_subcommand_imports_only_the_engines_it_runs(argv, stdin, engines):
     # Every CLI process compiles what it imports, so a subcommand must not
-    # pay for an engine or the family builders that it never calls.  The
+    # pay for an engine, the family builders or another subcommand's module
+    # that it never calls.  Under -m the cli module is __main__, and a
+    # second copy imported as pda_workbench.cli would show here too.  The
     # positive half shows that -X importtime reports a module imported on
     # first use.
     proc = subprocess.run(
@@ -1843,14 +1850,26 @@ EVERY_ENGINE_RUN = [
 ]
 
 
+@contextlib.contextmanager
 def fresh_cli():
-    """A newly executed copy of the cli module, as a new process has it."""
+    """A newly executed copy of the cli module, as a new process has it.
+
+    While the context lasts the copy is pda_workbench.cli and no command
+    module is loaded, so the command modules that the copy imports are
+    fresh and look the engines up on the copy."""
     import importlib.util
+
+    import pda_workbench
 
     spec = importlib.util.find_spec("pda_workbench.cli")
     module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    commands = [name for name in sys.modules if name.startswith("pda_workbench._cmd_")]
+    with mock.patch.dict(sys.modules, {"pda_workbench.cli": module}), \
+            mock.patch.object(pda_workbench, "cli", module):
+        for name in commands:
+            del sys.modules[name]
+        spec.loader.exec_module(module)
+        yield module
 
 
 def run_quietly(cli, argv, stdin):
@@ -1863,16 +1882,16 @@ def run_quietly(cli, argv, stdin):
 def test_engine_entry_points_are_cli_attributes_from_import_on():
     import importlib
 
-    cli = fresh_cli()
-    assert [name for name in PATCHED["cli"] if name not in cli.__dict__] == []
-    engines = {
-        name: getattr(importlib.import_module("pda_workbench." + module), name)
-        for name, module in ENGINE_MODULES.items()
-    }
-    assert [name for name in engines if cli.__dict__[name] is engines[name]] == []
-    for argv, stdin in EVERY_ENGINE_RUN:
-        assert run_quietly(cli, argv, stdin) == EXIT_OK, argv
-    assert [name for name in engines if cli.__dict__[name] is not engines[name]] == []
+    with fresh_cli() as cli:
+        assert [name for name in PATCHED["cli"] if name not in cli.__dict__] == []
+        engines = {
+            name: getattr(importlib.import_module("pda_workbench." + module), name)
+            for name, module in ENGINE_MODULES.items()
+        }
+        assert [name for name in engines if cli.__dict__[name] is engines[name]] == []
+        for argv, stdin in EVERY_ENGINE_RUN:
+            assert run_quietly(cli, argv, stdin) == EXIT_OK, argv
+        assert [name for name in engines if cli.__dict__[name] is not engines[name]] == []
 
 
 def test_every_patch_point_of_the_trace_exists():
@@ -1895,21 +1914,21 @@ def test_every_patch_point_of_the_trace_exists():
 
 @pytest.mark.parametrize("warm", [True, False], ids=["after-warm-up", "before-first-use"])
 def test_a_wrapper_on_the_cli_sees_each_engine_call_once(warm):
-    cli = fresh_cli()
-    if warm:
-        assert run_quietly(cli, ["bound"], MN_4_2) == EXIT_OK
-    calls = []
-    inner = cli.theorem1_exact
+    with fresh_cli() as cli:
+        if warm:
+            assert run_quietly(cli, ["bound"], MN_4_2) == EXIT_OK
+        calls = []
+        inner = cli.theorem1_exact
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return inner(*args, **kwargs)
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return inner(*args, **kwargs)
 
-    cli.theorem1_exact = counting
-    for runs in range(1, 4):
-        assert run_quietly(cli, ["bound"], MN_4_2) == EXIT_OK
-        assert len(calls) == runs
-    assert cli.theorem1_exact is counting
+        cli.theorem1_exact = counting
+        for runs in range(1, 4):
+            assert run_quietly(cli, ["bound"], MN_4_2) == EXIT_OK
+            assert len(calls) == runs
+        assert cli.theorem1_exact is counting
 
 
 # The modules that src/pda_workbench/*.py import at module level (not inside
@@ -1920,7 +1939,8 @@ def test_a_wrapper_on_the_cli_sees_each_engine_call_once(warm):
 MODULE_LEVEL_IMPORTS = {
     "__future__", "collections", "io",
     "itertools", "math", "os", "random", "sys", "time",
-    "pda_workbench.bounds", "pda_workbench.constructions", "pda_workbench.core",
+    "pda_workbench.bounds", "pda_workbench.cli", "pda_workbench.constructions",
+    "pda_workbench.core",
 }
 
 
