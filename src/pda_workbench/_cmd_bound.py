@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-import sys
-
 from . import cli
-from .cli import EXIT_BUDGET, EXIT_INVALID, EXIT_OK, _FAMILIES, _UsageError, _add_format
-from .cli import _family_args, _frac_text, _load_pattern, _write_json
-from .core import DEFAULT_NODE_BUDGET, pda_params
+from .cli import EXIT_BUDGET, EXIT_OK, _FAMILIES, _add_format, _family_args, _frac_text
+from .cli import _load_pattern, _write_json
+from .core import DEFAULT_NODE_BUDGET, MalformedGridError, pda_params
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -53,7 +51,7 @@ def _ordered_certificate(args: argparse.Namespace, pattern: StarPattern):
     values, label = _family_args(args, family, f"bound --method {args.method}")
     shape = shape_of(*values)
     if pattern.k != shape.k or pattern.f != shape.f:
-        raise _UsageError(
+        raise ValueError(
             f"pattern is {pattern.f}x{pattern.k}, but {label} needs {shape.f}x{shape.k}"
         )
     return eval_ordering(pattern, ordering(*values))
@@ -66,8 +64,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
         try:
             grid_symbols = pda_params(grid).s
         except ValueError as e:
-            print(f"error: C1 fails: {e}", file=sys.stderr)
-            return EXIT_INVALID
+            raise MalformedGridError(f"C1 fails: {e}") from None
     if args.method == "exact":
         cert = cli.theorem1_exact(pattern, budget=args.budget)
     else:

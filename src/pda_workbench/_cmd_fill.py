@@ -5,8 +5,8 @@ from __future__ import annotations
 import sys
 
 from . import cli
-from .cli import EXIT_BUDGET, EXIT_INVALID, EXIT_OK, _load_pattern, _write_output
-from .core import DEFAULT_COLOR_BUDGET, format_pda
+from .cli import EXIT_BUDGET, EXIT_OK, _load_pattern, _write_output
+from .core import DEFAULT_COLOR_BUDGET, MalformedGridError, format_pda
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -28,13 +28,10 @@ def _fill_args(p: argparse.ArgumentParser) -> None:
 def cmd_fill(args: argparse.Namespace) -> int:
     pattern, _ = _load_pattern(args.file)
     if pattern.uniform_z() is None:
-        sizes = sorted(set(pattern.sizes()))
-        print(
-            "error: users leave unequal numbers of rows uncached"
-            f" ({', '.join(map(str, sizes))}), so no fill satisfies C1",
-            file=sys.stderr,
+        sizes = ", ".join(map(str, sorted(set(pattern.sizes()))))
+        raise MalformedGridError(
+            f"users leave unequal numbers of rows uncached ({sizes}), so no fill satisfies C1"
         )
-        return EXIT_INVALID
     result = cli.fill_exact(pattern, budget=args.budget)
     _write_output(args.output, format_pda(result.grid))
     note = "optimality certified" if result.optimal else "NOT proven optimal (budget)"

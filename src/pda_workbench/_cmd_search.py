@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 from . import cli
-from .cli import EXIT_BUDGET, EXIT_OK, _UsageError, _add_format, _frac_text, _write_json
-from .cli import _write_output
+from .cli import EXIT_BUDGET, EXIT_OK, _add_format, _frac_text, _write_json, _write_output
 from .core import MAX_ROWS, format_placement
 
 TYPE_CHECKING = False
@@ -45,7 +44,7 @@ def _floor_line(report: SearchReport) -> str:
 
 def cmd_search(args: argparse.Namespace) -> int:
     if args.z > args.f:
-        raise _UsageError(f"need Z <= F, got Z={args.z}, F={args.f}")
+        raise ValueError(f"need Z <= F, got Z={args.z}, F={args.f}")
     report = cli.theorem3_search(args.k, args.f, args.z, budget=args.budget)
     if args.witness:
         _write_output(args.witness, format_placement(report.best_pattern))

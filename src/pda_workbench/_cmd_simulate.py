@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-import sys
-
 from . import cli
-from .cli import EXIT_INVALID, EXIT_OK, _UsageError, _add_format, _frac_dict, _frac_text
-from .cli import _read_input, _write_json
-from .core import DEFAULT_PACKET_LEN, pda_params
+from .cli import EXIT_INVALID, EXIT_OK, _add_format, _frac_dict, _frac_text, _read_input
+from .cli import _write_json
+from .core import DEFAULT_PACKET_LEN, MalformedGridError, pda_params
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -32,11 +30,11 @@ def _parse_demand(text: str, k: int, n: int) -> Tuple[int, ...]:
     try:
         d = tuple(int(tok) for tok in text.replace(",", " ").split())
     except ValueError:
-        raise _UsageError(f"bad demand {text!r}; want comma-separated file ids") from None
+        raise ValueError(f"bad demand {text!r}; want comma-separated file ids") from None
     if len(d) != k:
-        raise _UsageError(f"demand has {len(d)} entries, the array has K={k} users")
+        raise ValueError(f"demand has {len(d)} entries, the array has K={k} users")
     if any(not 1 <= x <= n for x in d):
-        raise _UsageError(f"demand entries must lie in [1, {n}]")
+        raise ValueError(f"demand entries must lie in [1, {n}]")
     return d
 
 
@@ -54,16 +52,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     ]
     if len(modes) != 1:
         got = f" (got {' and '.join(modes)})" if modes else ""
-        raise _UsageError(f"need one of --demand, --sweep, --sample{got}")
+        raise ValueError(f"need one of --demand, --sweep, --sample{got}")
     if args.sample is not None and args.sample < 1:
-        raise _UsageError(f"--sample needs at least 1 demand, got {args.sample}")
+        raise ValueError(f"--sample needs at least 1 demand, got {args.sample}")
     if args.transcript is not None and args.demand is None:
-        raise _UsageError("--transcript needs --demand")
+        raise ValueError("--transcript needs --demand")
     grid = cli.parse_pda(_read_input(args.file))
     result = cli.verify_pda(grid)
     if not result.valid:
-        print(f"INVALID PDA: {len(result.violations)} violation(s)", file=sys.stderr)
-        return EXIT_INVALID
+        raise MalformedGridError(f"INVALID PDA: {len(result.violations)} violation(s)")
     if args.demand is not None:  # refused before any payload is drawn
         d = _parse_demand(args.demand, grid.k, args.files)
     params = pda_params(grid)

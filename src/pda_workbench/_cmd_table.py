@@ -6,7 +6,7 @@ import io
 import sys
 
 from . import cli
-from .cli import EXIT_OK, _UsageError, _write_output
+from .cli import EXIT_OK, _write_output
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -26,11 +26,11 @@ def cmd_table(args: argparse.Namespace) -> int:
     try:
         q_list = [int(tok) for tok in args.q_list.split(",") if tok.strip()]
     except ValueError:
-        raise _UsageError(f"bad --q-list {args.q_list!r}") from None
+        raise ValueError(f"bad --q-list {args.q_list!r}") from None
     if not q_list or any(q < 2 for q in q_list):
-        raise _UsageError("--q-list needs integers >= 2")
+        raise ValueError("--q-list needs integers >= 2")
     if args.m_max < 2:
-        raise _UsageError("--m-max must be at least 2")
+        raise ValueError("--m-max must be at least 2")
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow(["q", "m", "s_pda", "s_derived", "s_exact", "mu", "formula_ratio"])

@@ -11,8 +11,9 @@ Conventions shared by every subcommand:
   ("schema": "pda-workbench/1"); table emits CSV;
 * exit codes: 0 success, 1 the input failed a check (invalid array, decode
   mismatch), 2 usage error, 3 a search ran out of budget before proving
-  its answer; main() is the one place that maps exceptions to these
-  codes, so no input ends in a traceback;
+  its answer; handlers and `_read_input` raise, and main() alone maps the
+  exception to its code and an `error:` line, so no input ends in a
+  traceback (only writes reach main's OSError branch);
 * --seed controls every pseudorandom payload.
 
 A well-formed command line is read by `_fast_parse` from the subcommand's
@@ -98,15 +99,30 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
-class _UsageError(Exception):
-    pass
+class _ClosedStream:  # a standard stream closed at start, which Python leaves None
+    def read(self, *_) -> str:
+        import errno
+
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+
+    write = read
+
+    def flush(self) -> None:
+        pass
 
 
 def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    """The text of `path`, or of stdin for "-"; a failure names it as read."""
+    name = "stdin" if path == "-" else path
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as e:
+        raise ValueError(f"cannot read {name}: {e.strerror}") from None
+    except UnicodeDecodeError as e:
+        raise MalformedGridError(f"{name} is not UTF-8: {e.reason} at byte {e.start}") from None
 
 
 def _write_output(path: Optional[str], text: str) -> None:
@@ -171,7 +187,7 @@ def _family_args(
     missing = [n for n in names if getattr(args, n) is None]
     if missing:
         flags = ", ".join("--" + n for n in missing)
-        raise _UsageError(f"{command} needs {flags}")
+        raise ValueError(f"{command} needs {flags}")
     values = tuple(getattr(args, n) for n in names)
     label = ", ".join(f"{n}={v}" for n, v in zip(names, values))
     return values, f"{family}({label})"
@@ -313,6 +329,7 @@ def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
+    sys.stdin, sys.stdout = (_ClosedStream() if s is None else s for s in (sys.stdin, sys.stdout))
     args = _fast_parse(argv)
     if args is None:
         # argparse hands the rest of the line to the subcommand named by the
@@ -333,11 +350,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_USAGE
     except MalformedGridError as e:
         message, code = str(e), EXIT_INVALID
-    except (_UsageError, ValueError) as e:
+    except ValueError as e:
         message, code = str(e), EXIT_USAGE
-    except OSError as e:
-        verb = "read" if e.filename == getattr(args, "file", "-") else "write"
-        message, code = f"cannot {verb} {e.filename or 'stdout'}: {e.strerror}", EXIT_USAGE
+    except OSError as e:  # `_read_input` reports reads, so this is a write
+        message, code = f"cannot write {e.filename or 'stdout'}: {e.strerror}", EXIT_USAGE
     print(f"error: {message}", file=sys.stderr)
     return code
 

@@ -58,7 +58,7 @@ DEFAULT_PACKET_LEN = 64  # bytes per packet of a simulated library
 
 
 class MalformedGridError(ValueError):
-    """Structural problem (ragged rows, bad token) -- not an axiom violation."""
+    """An input that fails a check (ragged rows, a bad token, C1); the CLI exits 1."""
 
 
 def ratio(num: int, den: int) -> Tuple[int, int]:

@@ -3,6 +3,7 @@ codes, and the pipes between subcommands."""
 
 import ast
 import contextlib
+import errno
 import io
 import itertools
 import json
@@ -1164,6 +1165,150 @@ def test_closed_stdout_exits_two_without_a_traceback(argv):
     assert proc.returncode == EXIT_USAGE
     assert "Traceback" not in proc.stderr
     assert "Exception ignored" not in proc.stderr
+
+
+MN42 = format_pda(mn_pda(4, 2))
+UNEQUAL_STARS = format_placement(StarPattern(4, (0b0011, 0b0111)))
+
+
+class _FailingStdin:
+    def read(self, *_):
+        raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+
+# Every refusal a handler or an I/O helper makes: (argv, stdin, exit code,
+# the stderr line's start).  "{tmp}" is the test's own directory.
+REFUSALS = {
+    "family-flag": (["construct", "partition", "--q", "3"], None, EXIT_USAGE,
+                    "construct partition needs --m"),
+    "ordered-shape": (["bound", "--method", "ordered:partition", "--q", "2", "--m", "2"],
+                      MN42, EXIT_USAGE, "pattern is 6x4, but partition(q=2, m=2) needs 4x6"),
+    "search-z": (["search", "--k", "3", "--f", "2", "--z", "3"], None, EXIT_USAGE,
+                 "need Z <= F, got Z=3, F=2"),
+    "demand-token": (["simulate", "--files", "4", "--demand", "x"], MN42, EXIT_USAGE,
+                     "bad demand 'x'"),
+    "demand-length": (["simulate", "--files", "4", "--demand", "1,2"], MN42, EXIT_USAGE,
+                      "demand has 2 entries, the array has K=4 users"),
+    "demand-range": (["simulate", "--files", "4", "--demand", "1,2,3,5"], MN42, EXIT_USAGE,
+                     "demand entries must lie in [1, 4]"),
+    "simulate-modes": (["simulate", "--files", "4", "--sweep", "--sample", "2"], MN42,
+                       EXIT_USAGE, "need one of --demand, --sweep, --sample (got --sweep and"),
+    "sample-size": (["simulate", "--files", "4", "--sample", "0"], MN42, EXIT_USAGE,
+                    "--sample needs at least 1 demand, got 0"),
+    "transcript": (["simulate", "--files", "4", "--sweep", "--transcript", "t.json"], MN42,
+                   EXIT_USAGE, "--transcript needs --demand"),
+    "q-list-token": (["table", "--q-list", "2,x"], None, EXIT_USAGE, "bad --q-list '2,x'"),
+    "q-list-value": (["table", "--q-list", "1"], None, EXIT_USAGE,
+                     "--q-list needs integers >= 2"),
+    "m-max": (["table", "--m-max", "1"], None, EXIT_USAGE, "--m-max must be at least 2"),
+    "bound-c1": (["bound"], "PDA 2 2\n* 1\n2 3\n", EXIT_INVALID,
+                 "C1 fails: star count not uniform"),
+    "fill-unequal": (["fill"], UNEQUAL_STARS, EXIT_INVALID,
+                     "users leave unequal numbers of rows uncached (2, 3)"),
+    "simulate-invalid": (["simulate", "--files", "2", "--sweep"], CROSS_CELL_BAD,
+                         EXIT_INVALID, "INVALID PDA: 2 violation(s)"),
+    "missing-input": (["verify", "{tmp}/nope.pda"], None, EXIT_USAGE,
+                      "cannot read {tmp}/nope.pda: No such file or directory"),
+    "unwritable-output": (["construct", "mn", "--k", "4", "--t", "2", "-o", "{tmp}/no/x.pda"],
+                          None, EXIT_USAGE, "cannot write {tmp}/no/x.pda: No such file"),
+    "non-utf8-file": (["verify", "{tmp}/latin.pda"], None, EXIT_INVALID,
+                      "{tmp}/latin.pda is not UTF-8: invalid start byte at byte 8"),
+    # The input's own path, which reads but cannot be written.
+    "write-over-input": (["fill", "{tmp}/in.plc", "-o", "{tmp}/in.plc"], None, EXIT_USAGE,
+                         "cannot write {tmp}/in.plc: Permission denied"),
+    "stdin-fails": (["verify"], _FailingStdin(), EXIT_USAGE,
+                    "cannot read stdin: Input/output error"),
+    "stdin-closed": (["verify"], None, EXIT_USAGE, "cannot read stdin: Bad file descriptor"),
+    "stdout-closed": (["verify", "{tmp}/in.plc"], None, EXIT_USAGE,
+                      "cannot write stdout: Bad file descriptor"),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSALS))
+def test_every_refusal_is_one_error_line_with_its_exit_code(case, capsys, monkeypatch, tmp_path):
+    argv, stdin, code, start = REFUSALS[case]
+    argv = [token.replace("{tmp}", str(tmp_path)) for token in argv]
+    start = start.replace("{tmp}", str(tmp_path))
+    (tmp_path / "latin.pda").write_bytes(b"PDA 1 1\n\xff\n")
+    (tmp_path / "in.plc").write_text(MN42)
+    real_open = open
+
+    def no_write_to_input(file, mode="r", *args, **kwargs):
+        if file == str(tmp_path / "in.plc") and "w" in mode:
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), file)
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", no_write_to_input)
+    if isinstance(stdin, str):
+        stdin = io.StringIO(stdin)
+    monkeypatch.setattr(sys, "stdin", None if case == "stdin-closed" else stdin)
+    if case == "stdout-closed":
+        monkeypatch.setattr(sys, "stdout", None)
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: " + start) and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "fd, argv, code, err",
+    [
+        (0, ["verify"], EXIT_USAGE, "error: cannot read stdin: Bad file descriptor\n"),
+        (1, ["construct", "mn", "--k", "3", "--t", "1"], EXIT_USAGE,
+         "error: cannot write stdout: Bad file descriptor\n"),
+        (1, ["verify", "{tmp}/g.pda"], EXIT_USAGE,
+         "error: cannot write stdout: Bad file descriptor\n"),
+        (1, ["fill", "{tmp}/g.pda", "-o", "{tmp}/out.pda"], EXIT_OK,
+         "exact fill: S = 4 (lower bound 4) — optimality certified\n"),
+    ],
+    ids=["verify-stdin", "construct", "verify-file", "fill-to-file"],
+)
+def test_a_closed_standard_stream_is_one_error_line_not_a_traceback(fd, argv, code, err,
+                                                                     tmp_path):
+    # sh closes descriptor `fd`, then execs the interpreter with it closed.
+    (tmp_path / "g.pda").write_text(MN42)
+    argv = [token.replace("{tmp}", str(tmp_path)) for token in argv]
+    proc = subprocess.run(
+        ["sh", "-c", 'exec "$@" ' + ("<&-" if fd == 0 else ">&-"), "sh",
+         sys.executable, "-m", "pda_workbench.cli", *argv],
+        stderr=subprocess.PIPE, text=True,
+    )
+    assert (proc.returncode, proc.stderr) == (code, err)
+    if code == EXIT_OK:
+        assert parse_pda((tmp_path / "out.pda").read_text()).f == 6
+
+
+@pytest.mark.parametrize(
+    "env, err",
+    [
+        ({"PYTHONIOENCODING": "utf-8:strict"},
+         "error: stdin is not UTF-8: invalid start byte at byte 8\n"),
+        # The C locale decodes stdin with surrogateescape: a bad token.
+        ({"LC_ALL": "C", "PYTHONIOENCODING": "", "PYTHONUTF8": ""},
+         "error: cell (1,1): bad token '\\udcff'\n"),
+    ],
+    ids=["strict", "c-locale"],
+)
+def test_stdin_that_is_not_utf8_is_malformed_input(env, err):
+    proc = subprocess.run(
+        [sys.executable, "-m", "pda_workbench.cli", "verify"],
+        input=b"PDA 1 1\n\xff\n", capture_output=True, env={**os.environ, **env},
+    )
+    assert (proc.returncode, proc.stdout) == (EXIT_INVALID, b"")
+    assert proc.stderr.decode("utf-8", "backslashreplace") == err
+
+
+def test_only_main_writes_an_error_line():
+    # Handlers and the I/O helpers raise; main alone prints `error: ...`.
+    writers = [
+        name
+        for name, text in package_sources().items()
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and node.value.startswith("error:")
+    ]
+    assert writers == ["cli.py"]
 
 
 def test_formulas_is_no_longer_a_command():
